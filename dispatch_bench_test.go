@@ -59,7 +59,7 @@ func benchmarkDispatch(b *testing.B, shards, nTenants int, policy sfsched.Runtim
 	}
 	task := sfsched.RunOnce(func() {})
 	for _, tn := range tenants {
-		for tn.TrySubmit(task) == nil {
+		for tn.SubmitTask(task, sfsched.NoWait()) == nil {
 		}
 	}
 	var next atomic.Int64
@@ -71,7 +71,7 @@ func benchmarkDispatch(b *testing.B, shards, nTenants int, policy sfsched.Runtim
 		base := int(next.Add(1))
 		for i := 0; pb.Next(); i++ {
 			tn := tenants[(base+i*submitters)%nTenants]
-			if err := tn.Submit(task); err != nil &&
+			if err := tn.SubmitTask(task); err != nil &&
 				!errors.Is(err, sfsched.ErrRuntimeClosed) {
 				b.Error(err)
 				return
@@ -131,7 +131,7 @@ func BenchmarkDispatchEnforce(b *testing.B) {
 // intake=true is the lock-free MPSC intake ring with batched drains. Unlike
 // benchmarkDispatch's deep-backlog flood, the tenant population is small and
 // backlogs start empty with ample capacity, so the workers drain each tenant
-// to empty almost immediately and nearly every Submit finds its tenant
+// to empty almost immediately and nearly every SubmitTask finds its tenant
 // blocked: the op under measurement is the full wakeup admission — the
 // backpressure gate, the enqueue, the S_i = max(F_i, v) scheduler re-entry
 // and the worker wakeup — which is exactly the work the intake ring takes
@@ -165,7 +165,7 @@ func benchmarkSubmitWake(b *testing.B, shards, nTenants int, intake bool) {
 		base := int(next.Add(1))
 		for i := 0; pb.Next(); i++ {
 			tn := tenants[(base+i*submitters)%nTenants]
-			if err := tn.Submit(task); err != nil &&
+			if err := tn.SubmitTask(task); err != nil &&
 				!errors.Is(err, sfsched.ErrRuntimeClosed) {
 				b.Error(err)
 				return

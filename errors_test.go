@@ -44,8 +44,7 @@ func TestSentinelErrorsConformance(t *testing.T) {
 func TestSentinelErrorsOperational(t *testing.T) {
 	clock := sfsched.NewFakeClock()
 	r := sfsched.NewRuntime(sfsched.RuntimeConfig{
-		Workers: 1, Clock: clock, Manual: true,
-		Intake: sfsched.IntakeConfig{QueueCap: 1},
+		Workers: 1, Clock: clock, Manual: true, QueueCap: 1,
 	})
 	tn, err := r.Register("a", 1)
 	if err != nil {
@@ -72,7 +71,7 @@ func TestSentinelErrorsOperational(t *testing.T) {
 	if err := r.Unregister(tn); err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.Submit(sfsched.RunOnce(func() {})); !errors.Is(err, sfsched.ErrTenantClosed) {
+	if err := tn.SubmitTask(sfsched.RunOnce(func() {})); !errors.Is(err, sfsched.ErrTenantClosed) {
 		t.Errorf("unregistered tenant: %v, want ErrTenantClosed", err)
 	}
 	r.Close()

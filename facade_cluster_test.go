@@ -1,8 +1,7 @@
 package sfsched_test
 
-// Facade tests of the cluster tier and the grouped RuntimeConfig: NewCluster
-// end to end through exported names only, and the nested option groups
-// flattening onto the flat knobs with nested-wins precedence.
+// Facade tests of the cluster tier: NewCluster end to end through exported
+// names only.
 
 import (
 	"testing"
@@ -76,66 +75,4 @@ func TestFacadeCluster(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestFacadeConfigGrouping pins the nested option groups: each grouped knob
-// lands on the same internal setting as its flat spelling, and the nested
-// value wins when both are set.
-func TestFacadeConfigGrouping(t *testing.T) {
-	clock := sfsched.NewFakeClock()
-
-	// Sharding.Shards wins over the flat Shards.
-	r := sfsched.NewRuntime(sfsched.RuntimeConfig{
-		Workers: 4, Clock: clock, Manual: true,
-		Shards:   4,
-		Sharding: sfsched.ShardingConfig{Shards: 2},
-	})
-	if n := len(r.ShardStats()); n != 2 {
-		t.Errorf("nested Sharding.Shards: got %d shards, want 2", n)
-	}
-	r.Close()
-
-	// Intake.QueueCap bounds the backlog like the flat QueueCap.
-	r = sfsched.NewRuntime(sfsched.RuntimeConfig{
-		Workers: 1, Clock: clock, Manual: true,
-		Intake: sfsched.IntakeConfig{QueueCap: 2},
-	})
-	tn, err := r.Register("t", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := tn.SubmitTask(sfsched.RunOnce(func() {})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tn.SubmitTask(sfsched.RunOnce(func() {}), sfsched.NoWait()); err == nil {
-		t.Error("nested Intake.QueueCap: third submit succeeded past the cap")
-	}
-	r.Close()
-
-	// Enforcement.Enabled arms the enforcer exactly like the flat Enforce
-	// (observable in Manual mode: Enforce() runs an enforcement pass).
-	r = sfsched.NewRuntime(sfsched.RuntimeConfig{
-		Workers: 1, Clock: clock, Manual: true,
-		Enforcement: sfsched.EnforcementConfig{Enabled: true, Tick: sfsched.Millisecond},
-	})
-	tn, err = r.Register("e", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tn.Submit(func(sfsched.Duration) bool { return false }); err != nil {
-		t.Fatal(err)
-	}
-	d := r.Dispatch(0)
-	if d == nil {
-		t.Fatal("no dispatch")
-	}
-	clock.Advance(sfsched.Second) // way past any slice
-	r.Enforce()
-	if !d.Detached() {
-		t.Error("nested Enforcement.Enabled: expired plain slice was not handed off")
-	}
-	d.Complete(true)
-	r.Close()
 }

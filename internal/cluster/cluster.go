@@ -92,21 +92,16 @@ type Config struct {
 	// K is the number of machines a placement probes (power-of-k-choices).
 	// 0 means 2; values ≥ Machines degrade to best-fit over all machines.
 	K int
-	// Workers, Shards, Policy, Quantum, Clock, QueueCap, Manual, Preempt,
-	// Enforce, EnforceTick, SpareWorkers and RebalanceEvery configure each
-	// machine exactly as the same rt.Config fields do.
-	Workers        int
-	Shards         int
-	Policy         rt.Policy
-	Quantum        simtime.Duration
-	Clock          rt.Clock
-	QueueCap       int
-	Manual         bool
-	Preempt        bool
-	Enforce        bool
-	EnforceTick    simtime.Duration
-	SpareWorkers   int
-	RebalanceEvery time.Duration
+	// Workers, Policy, Quantum, Clock, QueueCap and Manual configure each
+	// machine exactly as the same rt.Config fields do; every other machine
+	// knob keeps its rt.Config default (Compose takes machines built with
+	// any rt.Config).
+	Workers  int
+	Policy   rt.Policy
+	Quantum  simtime.Duration
+	Clock    rt.Clock
+	QueueCap int
+	Manual   bool
 	// MigrateEvery is the period of the background cross-machine migrator.
 	// 0 means DefaultMigrateEvery; negative disables the background loop
 	// (Rebalance may still be called directly). Manual mode never starts
@@ -146,7 +141,7 @@ type Cluster struct {
 }
 
 // Tenant is a cluster-level tenant handle: a name and weight with a current
-// (machine, rt.Tenant) binding that migration rewrites. Submit-family calls
+// (machine, rt.Tenant) binding that migration rewrites. SubmitTask calls
 // hold the binding read-locked, so a tenant with a submit in flight is
 // simply skipped by the migrator (rt.Deport would refuse it anyway).
 type Tenant struct {
@@ -170,18 +165,12 @@ func New(cfg Config) (*Cluster, error) {
 	nodes := make([]Node, cfg.Machines)
 	for i := range nodes {
 		nodes[i] = rt.New(rt.Config{
-			Workers:        cfg.Workers,
-			Shards:         cfg.Shards,
-			Policy:         cfg.Policy,
-			Quantum:        cfg.Quantum,
-			Clock:          cfg.Clock,
-			QueueCap:       cfg.QueueCap,
-			Manual:         cfg.Manual,
-			Preempt:        cfg.Preempt,
-			Enforce:        cfg.Enforce,
-			EnforceTick:    cfg.EnforceTick,
-			SpareWorkers:   cfg.SpareWorkers,
-			RebalanceEvery: cfg.RebalanceEvery,
+			Workers:  cfg.Workers,
+			Policy:   cfg.Policy,
+			Quantum:  cfg.Quantum,
+			Clock:    cfg.Clock,
+			QueueCap: cfg.QueueCap,
+			Manual:   cfg.Manual,
 		})
 	}
 	return Compose(cfg, nodes...)
@@ -352,19 +341,6 @@ func (t *Tenant) SubmitTask(task rt.Task, opts ...rt.SubmitOption) error {
 		return rt.ErrTenantClosed
 	}
 	return t.tn.SubmitTask(task, opts...)
-}
-
-// Submit is SubmitTask(task).
-func (t *Tenant) Submit(task rt.Task) error { return t.SubmitTask(task) }
-
-// TrySubmit is SubmitTask(task, NoWait()).
-func (t *Tenant) TrySubmit(task rt.Task) error {
-	return t.SubmitTask(task, rt.NoWait())
-}
-
-// SubmitPreemptible is SubmitTask(nil, Preemptible(task)).
-func (t *Tenant) SubmitPreemptible(task rt.PreemptibleTask) error {
-	return t.SubmitTask(nil, rt.Preemptible(task))
 }
 
 // Rebalance runs one migration pass and reports how many tenants moved.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sfsched/internal/core"
+	"sfsched/internal/engine"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 	"sfsched/internal/timeshare"
@@ -276,14 +277,35 @@ func TestContextSwitchCostReducesThroughput(t *testing.T) {
 	}
 }
 
+// chargeLog is a decision recorder keeping the machine's charge stream:
+// every boundary settlement, plus each mid-slice installment that charged
+// something (the engine records an installment only when service accrued).
+type chargeLog struct {
+	n     int
+	total simtime.Duration
+}
+
+func (l *chargeLog) Record(e engine.Event) {
+	if e.Kind == engine.KindSettle || (e.Kind == engine.KindInterim && e.Ran > 0) {
+		l.n++
+		l.total += e.Ran
+	}
+}
+
+// decisionLog is a decision recorder keeping every event.
+type decisionLog struct{ events []engine.Event }
+
+func (l *decisionLog) Record(e engine.Event) { l.events = append(l.events, e) }
+
 func TestHooksFire(t *testing.T) {
 	m := newSFSMachine(1, 200*simtime.Millisecond)
-	var runnable, unrunnable, charged int
+	var runnable, unrunnable int
 	m.SetHooks(Hooks{
 		Runnable:   func(th *sched.Thread, now simtime.Time) { runnable++ },
 		Unrunnable: func(th *sched.Thread, now simtime.Time) { unrunnable++ },
-		Charged:    func(th *sched.Thread, d simtime.Duration, now simtime.Time) { charged++ },
 	})
+	charges := &chargeLog{}
+	m.SetDecisionRecorder(charges)
 	m.Spawn(SpawnConfig{
 		Name: "looper",
 		Behavior: BehaviorFunc(func(now simtime.Time, r *xrand.Rand) Step {
@@ -291,8 +313,42 @@ func TestHooksFire(t *testing.T) {
 		}),
 	})
 	m.Run(simtime.Time(simtime.Second))
-	if runnable < 10 || unrunnable < 10 || charged < 10 {
-		t.Fatalf("hooks fired %d/%d/%d times", runnable, unrunnable, charged)
+	if runnable < 10 || unrunnable < 10 || charges.n < 10 {
+		t.Fatalf("hooks fired %d/%d/%d times", runnable, unrunnable, charges.n)
+	}
+}
+
+// TestDecisionRecorderCapturesLifecycle: a recorder attached to the machine
+// sees every lifecycle decision of a blocking thread, attributed to it, in
+// order from its arrival.
+func TestDecisionRecorderCapturesLifecycle(t *testing.T) {
+	m := newSFSMachine(1, 200*simtime.Millisecond)
+	rec := &decisionLog{}
+	m.SetDecisionRecorder(rec)
+	k := m.Spawn(SpawnConfig{
+		Name: "looper",
+		Behavior: BehaviorFunc(func(now simtime.Time, r *xrand.Rand) Step {
+			return Step{Burst: 10 * simtime.Millisecond, Then: ThenBlock, Sleep: 10 * simtime.Millisecond}
+		}),
+	})
+	m.Run(simtime.Time(simtime.Second))
+	if len(rec.events) < 100 {
+		t.Fatalf("only %d events", len(rec.events))
+	}
+	kinds := map[engine.Kind]int{}
+	for _, e := range rec.events {
+		kinds[e.Kind]++
+		if e.ID != k.Thread().ID {
+			t.Fatalf("event %+v not attributed to the looper", e)
+		}
+	}
+	for _, kind := range []engine.Kind{engine.KindAdmit, engine.KindDepart, engine.KindPick, engine.KindBegin, engine.KindSettle} {
+		if kinds[kind] == 0 {
+			t.Fatalf("no events of kind %d (have %v)", kind, kinds)
+		}
+	}
+	if e := rec.events[0]; e.Kind != engine.KindAdmit || e.Now != 0 {
+		t.Fatalf("first event %+v, want admit at 0", e)
 	}
 }
 
@@ -477,12 +533,8 @@ func TestServiceConservation(t *testing.T) {
 			Scheduler: core.New(3, core.WithQuantum(30*simtime.Millisecond)),
 			Seed:      seed,
 		})
-		var delivered simtime.Duration
-		m.SetHooks(Hooks{
-			Charged: func(th *sched.Thread, ran simtime.Duration, now simtime.Time) {
-				delivered += ran
-			},
-		})
+		charges := &chargeLog{}
+		m.SetDecisionRecorder(charges)
 		r := xrand.New(seed * 99)
 		for i := 0; i < 12; i++ {
 			w := float64(1 + r.Intn(9))
@@ -509,9 +561,9 @@ func TestServiceConservation(t *testing.T) {
 		horizon := simtime.Time(15 * simtime.Second)
 		m.Run(horizon)
 		capacity := simtime.Duration(horizon) * 3
-		if got := delivered + m.Stats().IdleTime; got != capacity {
+		if got := charges.total + m.Stats().IdleTime; got != capacity {
 			t.Fatalf("seed %d: delivered %v + idle %v = %v, want %v",
-				seed, delivered, m.Stats().IdleTime, got, capacity)
+				seed, charges.total, m.Stats().IdleTime, got, capacity)
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"sfsched/internal/rt"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
-	"sfsched/internal/trace"
 	"sfsched/internal/xrand"
 )
 
@@ -51,8 +50,6 @@ func machineTrace(t *testing.T, p int, q simtime.Duration, scripts []tenantScrip
 		Scheduler:             core.New(p, core.WithQuantum(q)),
 		DisableWakePreemption: true,
 	})
-	rec := trace.NewRecorder(1 << 22)
-	m.SetHooks(rec.Hooks())
 	dec := &decisionLog{}
 	m.SetDecisionRecorder(dec)
 	tasks := make([]*machine.Task, len(scripts))
@@ -73,13 +70,12 @@ func machineTrace(t *testing.T, p int, q simtime.Duration, scripts []tenantScrip
 		})
 	}
 	m.Run(horizon)
-	if rec.Dropped() > 0 {
-		t.Fatalf("trace recorder dropped %d events", rec.Dropped())
-	}
+	// The charge stream: every settlement, plus each mid-slice installment
+	// that charged something.
 	var charges []chargeEvent
-	for _, e := range rec.Events() {
-		if e.Kind == trace.Charged {
-			charges = append(charges, chargeEvent{e.Thread, e.Ran})
+	for _, e := range dec.events {
+		if e.Kind == engine.KindSettle || (e.Kind == engine.KindInterim && e.Ran > 0) {
+			charges = append(charges, chargeEvent{e.ID, e.Ran})
 		}
 	}
 	services := make(map[int]simtime.Duration)
@@ -169,7 +165,7 @@ func runtimeTrace(t *testing.T, p int, q simtime.Duration, scripts []tenantScrip
 	// the done verdict to Complete itself.
 	loadBurst := func(ts *tstate) {
 		ts.rem = ts.sc.burst(ts.idx)
-		if err := ts.tn.Submit(rt.Once(func() {})); err != nil {
+		if err := ts.tn.SubmitTask(rt.Once(func() {})); err != nil {
 			t.Fatalf("submit %s: %v", ts.sc.name, err)
 		}
 	}

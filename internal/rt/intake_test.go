@@ -2,7 +2,7 @@
 // hot path it carries: the raw ring protocol (claim/publish/consume lap
 // handoff, full detection, tombstones), a fuzzed multi-producer FIFO/no-loss
 // check that the race detector also replays from the seed corpus under
-// `go test -race`, and the zero-allocation guarantee of Submit on both the
+// `go test -race`, and the zero-allocation guarantee of SubmitTask on both the
 // intake route and the locked baseline — the submit-side twin of
 // TestDispatchHotPathZeroAlloc.
 
@@ -152,7 +152,7 @@ func FuzzIntakeRing(f *testing.F) {
 }
 
 // TestIntakeOverflowPreservesTenantFIFO is the two-route interleaving
-// regression: a tenant whose Submit falls back to the locked slow path while
+// regression: a tenant whose SubmitTask falls back to the locked slow path while
 // its earlier submissions are still ring-resident must NOT have the slow-path
 // task admitted ahead of them. The slow path guarantees this by draining the
 // shard's intake ring before its direct admission (see the ring-full branch
@@ -179,7 +179,7 @@ func TestIntakeOverflowPreservesTenantFIFO(t *testing.T) {
 	}
 	running := make(chan struct{})
 	release := make(chan struct{})
-	if err := gate.Submit(Once(func() {
+	if err := gate.SubmitTask(Once(func() {
 		close(running)
 		<-release
 	})); err != nil {
@@ -189,7 +189,7 @@ func TestIntakeOverflowPreservesTenantFIFO(t *testing.T) {
 	order := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		i := i
-		if err := rec.Submit(Once(func() { order = append(order, i) })); err != nil {
+		if err := rec.SubmitTask(Once(func() { order = append(order, i) })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestIntakeOverflowPreservesTenantFIFO(t *testing.T) {
 // side on both routes: the intake-ring fast path (claim, publish, doorbell,
 // batched drain) and the RuntimeConfig.LockedSubmit baseline it is gated
 // against in BENCH_6.json. It is the submit-side twin of
-// TestDispatchHotPathZeroAlloc: a steady wakeup regime where every Submit
+// TestDispatchHotPathZeroAlloc: a steady wakeup regime where every SubmitTask
 // re-enters the scheduler, runs the backpressure reservation, and wakes the
 // tenant, under a Manual runtime so the whole cycle stays on one goroutine.
 func TestSubmitHotPathZeroAlloc(t *testing.T) {
@@ -228,7 +228,7 @@ func TestSubmitHotPathZeroAlloc(t *testing.T) {
 			}
 			task := Once(func() {})
 			cycle := func() {
-				if err := tn.Submit(task); err != nil { // wakeup: backlog is empty
+				if err := tn.SubmitTask(task); err != nil { // wakeup: backlog is empty
 					t.Fatal(err)
 				}
 				d := r.Dispatch(0)

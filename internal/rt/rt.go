@@ -46,10 +46,10 @@
 // tenant occupies at most one worker at a time), which is the paper's
 // feasibility constraint — a thread can use at most one CPU — surfacing as an
 // API guarantee. A tenant with an empty backlog leaves the runnable set
-// (blocks); the first Submit re-adds it with the §2.3 wakeup rule
+// (blocks); the first SubmitTask re-adds it with the §2.3 wakeup rule
 // S_i = max(F_i, v), so sleeping tenants bank no credit. Backlogs are
-// bounded: Submit blocks when the queue is full (backpressure), TrySubmit
-// fails fast with ErrBackpressure.
+// bounded: SubmitTask blocks when the queue is full (backpressure), and with
+// NoWait fails fast with ErrBackpressure.
 //
 // # Cooperative quanta
 //
@@ -91,7 +91,8 @@ var (
 	ErrRuntimeClosed = errors.New("rt: runtime closed")
 	// ErrTenantClosed reports an operation on an unregistered tenant.
 	ErrTenantClosed = errors.New("rt: tenant unregistered")
-	// ErrBackpressure reports a TrySubmit against a full tenant backlog.
+	// ErrBackpressure reports a NoWait SubmitTask against a full tenant
+	// backlog.
 	ErrBackpressure = errors.New("rt: tenant backlog full")
 	// ErrForeignTenant reports a tenant handed to a runtime that does not
 	// own it.
@@ -120,7 +121,7 @@ func Once(fn func()) Task {
 // asked for its processor back. Unfinished work stays at the backlog head and
 // continues on a later dispatch, exactly as with Task; ignoring the flag
 // costs only dispatch latency (the task still runs out its slice), never
-// fairness. Submit with SubmitPreemptible/TrySubmitPreemptible.
+// fairness. Submit with SubmitTask(nil, Preemptible(task)).
 type PreemptibleTask func(ctx SliceCtx) (done bool)
 
 // SliceCtx is a running task's view of its in-flight slice. It is valid only
@@ -173,7 +174,7 @@ type Config struct {
 	// Policy builds each shard's scheduler. Defaults to an exact-mode
 	// internal/core SFS with Config.Quantum. For two-level scheduling
 	// return an internal/hier instance and assign tenant threads
-	// (Tenant.Thread) to classes before their first Submit (single shard
+	// (Tenant.Thread) to classes before their first SubmitTask (single shard
 	// only: class assignment does not migrate).
 	Policy Policy
 	// Quantum overrides the default SFS policy's maximum quantum (ignored
@@ -214,7 +215,7 @@ type Config struct {
 	// dispatch traces are bit-identical to earlier releases, and TrySteal is
 	// a no-op.
 	Steal bool
-	// LockedSubmit routes every Submit/TrySubmit through the pre-intake
+	// LockedSubmit routes every SubmitTask through the pre-intake
 	// locked slow path (shard lock plus per-submit wakeup signal) instead of
 	// the lock-free intake ring. It exists as the measured baseline for the
 	// submit-side benchmarks and their benchcmp speedup gate
@@ -238,13 +239,6 @@ type Config struct {
 	// interim-charge period, and the bound on how long a flagged
 	// non-cooperating task keeps its lane. 0 means DefaultEnforceTick.
 	EnforceTick simtime.Duration
-	// SpareWorkers bounds the spare worker pool per shard: parked goroutines
-	// that take over a lane lent away by an involuntary handoff, so a shard
-	// whose workers are stuck in non-cooperating closures still dispatches.
-	// 0 means one spare per shard worker; negative disables spares (a lane
-	// freed by a handoff then idles until the hog returns). Ignored in
-	// Manual mode, where the driver owns all dispatching.
-	SpareWorkers int
 }
 
 // Tenant is a registered principal: one scheduler thread plus a bounded FIFO
@@ -283,7 +277,7 @@ type Tenant struct {
 	// absorption for a tenant that closed after acceptance). pending ≥ n
 	// always; they are equal whenever no accepted item of this tenant is
 	// still in flight toward its backlog — in particular always in Manual
-	// mode, where Submit absorbs eagerly.
+	// mode, where SubmitTask absorbs eagerly.
 	pending atomic.Int64
 	// closingAtomic mirrors closing for the lock-free submit fast path;
 	// exact error selection still happens under the shard lock.
@@ -291,19 +285,19 @@ type Tenant struct {
 
 	// Latency accounting (shard lock): readyAt is when the tenant last
 	// became dispatchable (woke, or completed a slice with work left);
-	// wokeAt is the wakeup Submit still awaiting its first dispatch.
+	// wokeAt is the wakeup submit still awaiting its first dispatch.
 	readyAt     simtime.Time
 	wokeAt      simtime.Time
 	wokePending bool
 	waitHist    metrics.Histogram // ready→dispatch, every dispatch
-	wakeHist    metrics.Histogram // wakeup Submit→first dispatch
+	wakeHist    metrics.Histogram // wakeup submit→first dispatch
 
 	preempts int64        // slices of this tenant flagged for preemption (shard lock)
 	resumes  int64        // continuation dispatches of unfinished tasks (shard lock)
 	handoffs int64        // involuntary handoffs of this tenant's slices (shard lock)
 	panics   atomic.Int64 // panicking tasks attributed to this tenant
 
-	notFull *sync.Cond // Submit waits here under backpressure
+	notFull *sync.Cond // submit waits here under backpressure
 }
 
 // Runtime is the concurrent wall-clock scheduling runtime. All exported
@@ -436,18 +430,14 @@ func New(cfg Config) *Runtime {
 			r.workerLocal = append(r.workerLocal, local)
 		}
 	}
-	// Spare worker slots: only meaningful in concurrent mode (Manual drivers
-	// reuse worker indices after a handoff, since the handoff frees the slot).
-	if !cfg.Manual && cfg.SpareWorkers >= 0 {
-		for _, sh := range r.shards {
-			spares := cfg.SpareWorkers
-			if spares == 0 {
-				spares = sh.workers
-			}
-			for s := 0; s < spares; s++ {
-				r.spareShard = append(r.spareShard, sh)
-			}
-		}
+	// Spare worker slots, one per worker: parked goroutines that take over a
+	// lane lent away by an enforcer handoff, so a shard whose workers are
+	// stuck in non-cooperating closures still dispatches. Only handoffs lend
+	// lanes, so spares exist only with Enforce armed, and only in concurrent
+	// mode (Manual drivers reuse worker indices after a handoff, since the
+	// handoff frees the slot).
+	if cfg.Enforce && !cfg.Manual {
+		r.spareShard = append(r.spareShard, r.workerShard...)
 	}
 	r.dslots = make([]*Dispatched, len(r.workerShard)+len(r.spareShard))
 	for i := range r.dslots {
@@ -488,7 +478,7 @@ func (r *Runtime) Shards() int { return len(r.shards) }
 
 // Register creates a tenant with the given display name and weight, placing
 // it on the shard with the least weight per processor. The tenant joins its
-// shard scheduler's runnable set on its first Submit.
+// shard scheduler's runnable set on its first SubmitTask.
 func (r *Runtime) Register(name string, weight float64) (*Tenant, error) {
 	if !sched.ValidWeight(weight) {
 		return nil, fmt.Errorf("%w: %g", sched.ErrBadWeight, weight)
@@ -623,7 +613,7 @@ func (r *Runtime) SetWeight(tn *Tenant, w float64) error {
 }
 
 // Thread returns the tenant's scheduler-visible thread control block, for
-// wiring that must happen before the tenant's first Submit (e.g. assigning
+// wiring that must happen before the tenant's first SubmitTask (e.g. assigning
 // the thread to an internal/hier class). The runtime owns the thread
 // afterwards; callers must not mutate it while the tenant is active.
 func (tn *Tenant) Thread() *sched.Thread { return tn.th }
@@ -676,9 +666,7 @@ func Preemptible(task PreemptibleTask) SubmitOption { return SubmitOption{pre: t
 // ErrBackpressure failure, and Preemptible(fn) submits a cooperative
 // preemptible task in place of the plain one (pass task == nil then).
 // Exactly one task form must be given: a nil call panics, as does combining
-// a plain task with Preemptible. The four legacy methods — Submit,
-// TrySubmit, SubmitPreemptible, TrySubmitPreemptible — are thin wrappers
-// over this entry point.
+// a plain task with Preemptible.
 func (tn *Tenant) SubmitTask(task Task, opts ...SubmitOption) error {
 	q := queued{run: task}
 	block := true
@@ -698,33 +686,6 @@ func (tn *Tenant) SubmitTask(task Task, opts ...SubmitOption) error {
 		panic("rt: nil task")
 	}
 	return tn.submit(q, block)
-}
-
-// Submit appends a task to the tenant's backlog, blocking while the backlog
-// is full. It fails with ErrTenantClosed after Unregister and
-// ErrRuntimeClosed after Close. It is SubmitTask(task).
-func (tn *Tenant) Submit(task Task) error {
-	return tn.SubmitTask(task)
-}
-
-// TrySubmit is Submit without blocking: a full backlog fails with
-// ErrBackpressure. It is SubmitTask(task, NoWait()).
-func (tn *Tenant) TrySubmit(task Task) error {
-	return tn.SubmitTask(task, NoWait())
-}
-
-// SubmitPreemptible is Submit for a PreemptibleTask: the task receives a
-// SliceCtx and is expected to poll Preempted() and yield cooperatively. It is
-// SubmitTask(nil, Preemptible(task)).
-func (tn *Tenant) SubmitPreemptible(task PreemptibleTask) error {
-	return tn.SubmitTask(nil, Preemptible(task))
-}
-
-// TrySubmitPreemptible is SubmitPreemptible without blocking: a full backlog
-// fails with ErrBackpressure. It is SubmitTask(nil, NoWait(),
-// Preemptible(task)).
-func (tn *Tenant) TrySubmitPreemptible(task PreemptibleTask) error {
-	return tn.SubmitTask(nil, NoWait(), Preemptible(task))
 }
 
 // postActions accumulates work that must run after the shard lock is
@@ -828,9 +789,9 @@ func (tn *Tenant) submit(q queued, block bool) error {
 			return nil
 		}
 		if r.manual {
-			// Manual mode: absorb eagerly so Submit keeps its deterministic
+			// Manual mode: absorb eagerly so submit keeps its deterministic
 			// effects — the wakeup Add and any preemption flag land at the
-			// Submit instant, batch size 1, replaying the pre-intake golden
+			// submit instant, batch size 1, replaying the pre-intake golden
 			// traces bit for bit while still exercising the ring.
 			post := postActions{sh: sh}
 			sh.mu.Lock()
@@ -846,7 +807,7 @@ func (tn *Tenant) submit(q queued, block bool) error {
 			// wakeup here would never be repaired. If preemption is armed
 			// and no worker is idle, the wakeup must not wait for a worker's
 			// next drain (a full slice away): drain inline so the PR-5
-			// preemption flag is raised at the Submit instant.
+			// preemption flag is raised at the submit instant.
 			post := postActions{sh: sh}
 			sh.mu.Lock()
 			if r.preempt && sh.eng.Pre != nil && sh.running >= sh.workers {
@@ -992,7 +953,7 @@ func (r *Runtime) Dispatch(worker int) *Dispatched {
 		return nil // Close abandons the remaining backlog
 	}
 	// Absorb any intake first: in Manual mode the ring is already empty
-	// (Submit drains eagerly), so this is a no-op that cannot perturb golden
+	// (submit drains eagerly), so this is a no-op that cannot perturb golden
 	// traces; in concurrent mode it lets an external dispatcher see work
 	// that has not been drained by a worker yet. One clock read covers both
 	// the drain and the dispatch.
@@ -1342,7 +1303,7 @@ type TenantStat struct {
 	// Dispatch is the ready→dispatch latency distribution: every interval
 	// from the instant the tenant became dispatchable (woke, or completed a
 	// slice with work left) to its next dispatch. Wake restricts to wakeups:
-	// a Submit that found the tenant blocked, to its first dispatch — the
+	// a submit that found the tenant blocked, to its first dispatch — the
 	// paper's interactive response-time metric (Figure 6(c)).
 	Dispatch LatencyStat
 	Wake     LatencyStat

@@ -279,7 +279,7 @@ func (sh *shard) dispatchLocked(worker, local int, now simtime.Time) *Dispatched
 	sh.running++
 	sh.nready.Add(-1)
 	// Latency accounting: ready→dispatch on every dispatch, wakeup→first
-	// dispatch when a wakeup Submit is still pending its dispatch. Both are
+	// dispatch when a wakeup submit is still pending its dispatch. Both are
 	// bare histogram increments (metrics.Histogram is fixed-size), keeping
 	// the hot path allocation-free.
 	if lat := now.Sub(tn.readyAt); lat >= 0 {

@@ -46,6 +46,7 @@ type TS struct {
 	known     map[*sched.Thread]struct{}
 	epochs    int64
 	decisions int64
+	scanned   int64
 }
 
 // New returns a time-sharing scheduler for p processors. It panics if p < 1.
@@ -67,6 +68,10 @@ func (s *TS) Runnable() int { return len(s.runnable) }
 
 // Epochs returns the number of counter-recharge epochs so far.
 func (s *TS) Epochs() int64 { return s.epochs }
+
+// Scanned returns how many threads Pick has examined so far: the length of
+// the O(n) schedule() scan, summed over every pick.
+func (s *TS) Scanned() int64 { return s.scanned }
 
 // goodness mirrors the 2.2 kernel: threads with timeslice left compete on
 // counter + priority; exhausted threads wait for the next epoch.
@@ -171,6 +176,7 @@ func (s *TS) Pick(cpu int, now simtime.Time) *sched.Thread {
 	}
 	var best *sched.Thread
 	bestG := 0
+	s.scanned += int64(len(s.runnable))
 	for _, t := range s.runnable {
 		if t.Running() {
 			continue

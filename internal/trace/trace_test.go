@@ -4,73 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"sfsched/internal/core"
-	"sfsched/internal/machine"
 	"sfsched/internal/metrics"
-	"sfsched/internal/simtime"
-	"sfsched/internal/xrand"
 )
-
-func TestRecorderCapturesLifecycle(t *testing.T) {
-	m := machine.New(machine.Config{CPUs: 1, Scheduler: core.New(1), Seed: 1})
-	rec := NewRecorder(0)
-	m.SetHooks(rec.Hooks())
-	m.Spawn(machine.SpawnConfig{
-		Name: "looper",
-		Behavior: machine.BehaviorFunc(func(now simtime.Time, r *xrand.Rand) machine.Step {
-			return machine.Step{Burst: 10 * simtime.Millisecond, Then: machine.ThenBlock, Sleep: 10 * simtime.Millisecond}
-		}),
-	})
-	m.Run(simtime.Time(simtime.Second))
-	events := rec.Events()
-	if len(events) < 100 {
-		t.Fatalf("only %d events", len(events))
-	}
-	var kinds [3]int
-	for _, e := range events {
-		kinds[e.Kind]++
-		if e.Name != "looper" || e.Thread == 0 {
-			t.Fatalf("bad event %+v", e)
-		}
-	}
-	for k, n := range kinds {
-		if n == 0 {
-			t.Fatalf("no events of kind %v", Kind(k))
-		}
-	}
-	if events[0].Kind != Runnable || events[0].At != 0 {
-		t.Fatalf("first event %+v, want arrival at 0", events[0])
-	}
-}
-
-func TestRecorderLimit(t *testing.T) {
-	rec := NewRecorder(2)
-	for i := 0; i < 5; i++ {
-		rec.add(Event{Thread: i})
-	}
-	if len(rec.Events()) != 2 {
-		t.Fatalf("events %d", len(rec.Events()))
-	}
-	if rec.Dropped() != 3 {
-		t.Fatalf("dropped %d", rec.Dropped())
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	rec := NewRecorder(10)
-	rec.add(Event{At: simtime.Time(1500000), Kind: Charged, Thread: 3, Name: "a,b", Ran: 200})
-	var b strings.Builder
-	if err := rec.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "time_s,kind,thread,name,ran_us,state\n") {
-		t.Fatalf("header missing:\n%s", out)
-	}
-	if !strings.Contains(out, `1.500000,charged,3,"a,b",200,new`) {
-		t.Fatalf("row malformed:\n%s", out)
-	}
-}
 
 func TestWriteSeriesCSV(t *testing.T) {
 	s1 := &metrics.Series{Name: "T1", X: []float64{0, 1}, Y: []float64{10, 20}}
@@ -91,14 +26,5 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 	if err := WriteSeriesCSV(&b); err != nil {
 		t.Fatal("empty series should be a no-op")
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if Runnable.String() != "runnable" || Unrunnable.String() != "unrunnable" || Charged.String() != "charged" {
-		t.Fatal("kind names")
-	}
-	if !strings.Contains(Kind(9).String(), "9") {
-		t.Fatal("unknown kind")
 	}
 }

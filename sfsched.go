@@ -25,7 +25,6 @@ package sfsched
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"sfsched/internal/bvt"
 	"sfsched/internal/cluster"
@@ -88,8 +87,7 @@ type (
 	BehaviorFunc = machine.BehaviorFunc
 	// Step is one CPU burst and its boundary action.
 	Step = machine.Step
-	// Hooks observe machine lifecycle transitions (GMS attachment,
-	// tracing).
+	// Hooks observe machine lifecycle transitions (GMS attachment).
 	Hooks = machine.Hooks
 	// GMS integrates the idealized fluid allocation.
 	GMS = gms.Fluid
@@ -176,7 +174,7 @@ type (
 	RuntimeTask = rt.Task
 	// PreemptibleTask is a RuntimeTask variant that observes cooperative
 	// wakeup preemption through its SliceCtx (see RuntimeConfig.Preempt and
-	// Tenant.SubmitPreemptible).
+	// the Preemptible submit option).
 	PreemptibleTask = rt.PreemptibleTask
 	// SliceCtx is a running PreemptibleTask's view of its slice: the
 	// granted timeslice hint and the cooperative preemption flag.
@@ -201,6 +199,9 @@ type (
 	RuntimeClock = rt.Clock
 	// FakeClock is a manually advanced RuntimeClock for deterministic tests.
 	FakeClock = rt.FakeClock
+	// RuntimeConfig assembles a Runtime: Workers is required, every other
+	// knob defaults when zero (see rt.Config for each field).
+	RuntimeConfig = rt.Config
 )
 
 // LivePolicies lists the scheduling policies PolicyByName constructs, each
@@ -255,8 +256,8 @@ var (
 	ErrRuntimeClosed = rt.ErrRuntimeClosed
 	// ErrTenantClosed reports an operation on an unregistered tenant.
 	ErrTenantClosed = rt.ErrTenantClosed
-	// ErrBackpressure reports a TrySubmit (or SubmitTask with NoWait)
-	// against a full tenant backlog.
+	// ErrBackpressure reports a SubmitTask with NoWait against a full
+	// tenant backlog.
 	ErrBackpressure = rt.ErrBackpressure
 	// ErrForeignTenant reports a tenant handed to a runtime that does not
 	// own it.
@@ -271,142 +272,17 @@ var (
 	ErrClusterClosed = cluster.ErrClusterClosed
 )
 
-// RuntimeConfig assembles a Runtime. The flat fields mirror the original
-// knob set one-for-one; the grown enforcement / sharding / intake knobs are
-// also reachable through the nested groups (Enforcement, Sharding, Intake),
-// which read better at call sites that configure a subsystem deliberately:
-//
-//	sfsched.RuntimeConfig{
-//	    Workers:     16,
-//	    Enforcement: sfsched.EnforcementConfig{Enabled: true, Tick: sfsched.Millisecond},
-//	    Sharding:    sfsched.ShardingConfig{Shards: 4},
-//	}
-//
-// Both spellings are valid; where a knob is set in both places the nested
-// (non-zero) value wins, so existing flat-field callers are unaffected.
-type RuntimeConfig struct {
-	// Workers is the worker pool size — the number of "CPUs" the scheduler
-	// arbitrates. Required.
-	Workers int
-	// Policy builds each dispatch shard's scheduler (e.g. via
-	// PolicyByName); nil defaults to exact-mode SFS with Quantum.
-	Policy RuntimePolicy
-	// Quantum overrides the default SFS policy's maximum quantum.
-	Quantum Duration
-	// Clock supplies time for charging; nil defaults to the monotonic wall
-	// clock, tests inject a FakeClock.
-	Clock RuntimeClock
-	// Manual suppresses the worker pool and background loops; the caller
-	// drives Dispatch/Complete/Rebalance directly (deterministic tests).
-	Manual bool
-	// Preempt arms cooperative wakeup preemption (see rt.Config.Preempt).
-	Preempt bool
-
-	// Flat back-compat spellings of the grouped knobs below.
-	Shards         int
-	QueueCap       int
-	RebalanceEvery time.Duration
-	LockedSubmit   bool
-	Enforce        bool
-	EnforceTick    Duration
-	SpareWorkers   int
-	Steal          bool
-
-	// Enforcement groups the involuntary slice-enforcement knobs
-	// (rt.Config.Enforce/EnforceTick/SpareWorkers).
-	Enforcement EnforcementConfig
-	// Sharding groups the per-CPU dispatch sharding knobs
-	// (rt.Config.Shards/RebalanceEvery).
-	Sharding ShardingConfig
-	// Intake groups the submit-side knobs
-	// (rt.Config.QueueCap/LockedSubmit).
-	Intake IntakeConfig
-}
-
-// EnforcementConfig groups RuntimeConfig's involuntary slice-enforcement
-// knobs: Enabled arms the enforcer, Tick is the enforcement granularity
-// (0 = default), SpareWorkers bounds the per-shard spare pool (0 = one per
-// worker, negative disables spares).
-type EnforcementConfig struct {
-	Enabled      bool
-	Tick         Duration
-	SpareWorkers int
-}
-
-// ShardingConfig groups RuntimeConfig's dispatch-sharding knobs: Shards
-// splits dispatch into per-CPU runqueues (0 or 1 = the central queue),
-// RebalanceEvery is the background rebalancer period (negative disables),
-// and Steal arms idle-path cross-shard work stealing — an idle worker pulls
-// the highest-surplus ready tenant from the most backlogged sibling shard
-// with lead-preserving frame translation before parking, closing the
-// transient-imbalance window between rebalancer passes (rt.Config.Steal,
-// DESIGN.md §12).
-type ShardingConfig struct {
-	Shards         int
-	RebalanceEvery time.Duration
-	Steal          bool
-}
-
-// IntakeConfig groups RuntimeConfig's submit-side knobs: QueueCap bounds
-// each tenant's backlog (0 = 256), Locked routes submits through the locked
-// baseline path instead of the lock-free intake ring (benchmarks only).
-type IntakeConfig struct {
-	QueueCap int
-	Locked   bool
-}
-
-// flatten merges the flat and grouped spellings into the internal config;
-// the nested non-zero value wins where both are set.
-func (c RuntimeConfig) flatten() rt.Config {
-	out := rt.Config{
-		Workers:        c.Workers,
-		Shards:         c.Shards,
-		Policy:         c.Policy,
-		Quantum:        c.Quantum,
-		Clock:          c.Clock,
-		QueueCap:       c.QueueCap,
-		Manual:         c.Manual,
-		Preempt:        c.Preempt,
-		RebalanceEvery: c.RebalanceEvery,
-		LockedSubmit:   c.LockedSubmit || c.Intake.Locked,
-		Enforce:        c.Enforce || c.Enforcement.Enabled,
-		Steal:          c.Steal || c.Sharding.Steal,
-		EnforceTick:    c.EnforceTick,
-		SpareWorkers:   c.SpareWorkers,
-	}
-	if c.Sharding.Shards != 0 {
-		out.Shards = c.Sharding.Shards
-	}
-	if c.Sharding.RebalanceEvery != 0 {
-		out.RebalanceEvery = c.Sharding.RebalanceEvery
-	}
-	if c.Intake.QueueCap != 0 {
-		out.QueueCap = c.Intake.QueueCap
-	}
-	if c.Enforcement.Tick != 0 {
-		out.EnforceTick = c.Enforcement.Tick
-	}
-	if c.Enforcement.SpareWorkers != 0 {
-		out.SpareWorkers = c.Enforcement.SpareWorkers
-	}
-	return out
-}
-
 // NewRuntime builds a wall-clock runtime and starts its worker pool; set
 // RuntimeConfig.Shards > 1 for sharded per-CPU dispatch with background
 // weight rebalancing, and RuntimeConfig.Policy (e.g. via PolicyByName) to
 // dispatch with a policy other than SFS (see internal/rt and DESIGN.md
 // §6–§7).
-func NewRuntime(cfg RuntimeConfig) *Runtime { return rt.New(cfg.flatten()) }
+func NewRuntime(cfg RuntimeConfig) *Runtime { return rt.New(cfg) }
 
-// Submit options for Tenant.SubmitTask, the unified submit entry point (the
-// legacy Submit/TrySubmit/SubmitPreemptible/TrySubmitPreemptible remain as
-// thin wrappers over it).
-type (
-	// SubmitOption modifies one SubmitTask call; options are plain values,
-	// so the submit hot path stays allocation-free.
-	SubmitOption = rt.SubmitOption
-)
+// SubmitOption modifies one Tenant.SubmitTask call, the single submit entry
+// point; options are plain values, so the submit hot path stays
+// allocation-free.
+type SubmitOption = rt.SubmitOption
 
 // NoWait makes SubmitTask fail with ErrBackpressure instead of blocking
 // while the tenant's backlog is full.

@@ -144,16 +144,19 @@ func TestLivecmpClusterSmoke(t *testing.T) {
 	}
 }
 
-// TestLatencyLiveSmoke runs examples/latency on the wall-clock runtime.
-func TestLatencyLiveSmoke(t *testing.T) {
+// TestLivecmpLatencyEnforceSmoke runs the latency reprise against
+// adversarial hogs that never poll their preemption flag, with involuntary
+// slice enforcement armed.
+func TestLivecmpLatencyEnforceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess smoke tests skipped in -short mode")
 	}
-	out := runBinary(t, "examples/latency",
-		"-live", "-duration", "250ms", "-hogs", "4")
-	for _, want := range []string{"SFS", "timeshare", "p95_ms"} {
+	out := runBinary(t, "cmd/livecmp",
+		"-latency", "-enforce", "-adversarial", "-policies", "sfs,timeshare",
+		"-hogs", "4", "-duration", "250ms")
+	for _, want := range []string{"SFS", "timeshare", "p95_ms", "handoffs", "enforcement armed"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("latency -live output missing %q:\n%s", want, out)
+			t.Fatalf("livecmp -latency -enforce output missing %q:\n%s", want, out)
 		}
 	}
 }
