@@ -125,18 +125,14 @@ func BenchmarkDispatchEnforce(b *testing.B) {
 	}
 }
 
-// benchmarkSubmitWake measures the submit→wakeup path with the submit route
-// selectable: intake=false is the pre-intake locked baseline
-// (RuntimeConfig.LockedSubmit — shard lock plus per-submit cond signal),
-// intake=true is the lock-free MPSC intake ring with batched drains. Unlike
+// benchmarkSubmitWake measures the submit→wakeup path. Unlike
 // benchmarkDispatch's deep-backlog flood, the tenant population is small and
 // backlogs start empty with ample capacity, so the workers drain each tenant
 // to empty almost immediately and nearly every SubmitTask finds its tenant
-// blocked: the op under measurement is the full wakeup admission — the
-// backpressure gate, the enqueue, the S_i = max(F_i, v) scheduler re-entry
-// and the worker wakeup — which is exactly the work the intake ring takes
-// off the lock and batches.
-func benchmarkSubmitWake(b *testing.B, shards, nTenants int, intake bool) {
+// blocked: the op under measurement is the full wakeup admission under the
+// shard lock — the backpressure check, the enqueue, the S_i = max(F_i, v)
+// scheduler re-entry and the worker wakeup.
+func benchmarkSubmitWake(b *testing.B, shards, nTenants int) {
 	const workers = 16
 	const submitters = 128
 	prev := runtime.GOMAXPROCS(workers)
@@ -146,7 +142,6 @@ func benchmarkSubmitWake(b *testing.B, shards, nTenants int, intake bool) {
 		Shards:         shards,
 		Quantum:        sfsched.Millisecond,
 		RebalanceEvery: -1,
-		LockedSubmit:   !intake,
 	})
 	defer r.Close()
 	tenants := make([]*sfsched.Tenant, nTenants)
@@ -176,20 +171,14 @@ func benchmarkSubmitWake(b *testing.B, shards, nTenants int, intake bool) {
 	b.StopTimer()
 }
 
-// BenchmarkSubmitWake measures contended submit/wakeup throughput with the
-// lock-free intake rings on versus the locked baseline, at 1 and 16 shards
-// on a 16-worker pool with 16 concurrent submitters. The intake=on/intake=off
-// pair at equal shard count is a within-run comparison (machine-independent),
-// which is what the BENCH_6.json benchcmp gate pins a speedup floor on;
-// -benchmem pins 0 allocs/op on both sides.
+// BenchmarkSubmitWake measures contended submit/wakeup throughput at 1 and
+// 16 shards on a 16-worker pool with 128 concurrent submitters, gated in
+// BENCH_6.json; -benchmem pins 0 allocs/op.
 func BenchmarkSubmitWake(b *testing.B) {
 	for _, shards := range []int{1, 16} {
-		for _, intake := range []bool{false, true} {
-			name := fmt.Sprintf("intake=%v/shards=%d/workers=16", intake, shards)
-			b.Run(name, func(b *testing.B) {
-				benchmarkSubmitWake(b, shards, 64, intake)
-			})
-		}
+		b.Run(fmt.Sprintf("shards=%d/workers=16", shards), func(b *testing.B) {
+			benchmarkSubmitWake(b, shards, 64)
+		})
 	}
 }
 

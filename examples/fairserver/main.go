@@ -6,7 +6,7 @@
 // per-CPU runqueues and the background rebalancer keeps each shard's
 // sub-share of the total weight proportional to its processor count.
 //
-//	go run ./examples/fairserver [-policy sfs] [-workers N] [-shards N] [-per-tier 4] [-duration 1s] [-cost 200µs] [-preempt] [-steal]
+//	go run ./examples/fairserver [-policy sfs] [-workers N] [-shards N] [-per-tier 4] [-duration 1s] [-cost 200µs] [-preempt]
 //
 // -policy picks the dispatch policy per shard (sfs, sfq, sfq+readjust,
 // timeshare, stride, bvt, lottery, hier): the same live load under the
@@ -49,8 +49,6 @@ func main() {
 	cost := flag.Duration("cost", 200*time.Microsecond, "CPU cost of one task")
 	preempt := flag.Bool("preempt", false,
 		"arm cooperative wakeup preemption; tasks poll SliceCtx.Preempted at 100µs checkpoints and yield mid-task when flagged")
-	steal := flag.Bool("steal", false,
-		"arm idle-path cross-shard work stealing; an idle worker pulls the highest-surplus ready tenant from the most backlogged sibling shard before parking")
 	flag.Parse()
 	mkSched, err := sfsched.PolicyByName(*policy, 10*sfsched.Millisecond)
 	if err != nil {
@@ -89,7 +87,6 @@ func main() {
 		Policy:   mkSched,
 		QueueCap: 8,
 		Preempt:  *preempt,
-		Steal:    *steal,
 	})
 	defer r.Close()
 
@@ -189,6 +186,6 @@ func main() {
 			fmt.Sprintf("%.3f", ss.Jain))
 	}
 	fmt.Print(shardTbl.String())
-	fmt.Printf("jain index %.4f, worst share error %.1f%%, migrations %d, steals %d, preemptions %d\n",
-		r.JainIndex(), 100*metrics.RatioError(measured, ideal), r.Migrations(), r.Steals(), preemptions)
+	fmt.Printf("jain index %.4f, worst share error %.1f%%, migrations %d, preemptions %d\n",
+		r.JainIndex(), 100*metrics.RatioError(measured, ideal), r.Migrations(), preemptions)
 }

@@ -385,9 +385,8 @@ func (s *SFS) Add(t *sched.Thread, now simtime.Time) error {
 // AddBatch implements sched.BatchAdder: admit a batch of newly woken threads
 // at one instant, equivalent to calling Add for each element of ts in order
 // but with the weight-readjustment pass — and, in heuristic mode, the global
-// surplus refresh a φ change forces — run once for the whole batch. The
-// sharded runtime's intake drain uses it so N simultaneous wakeups cost one
-// Figure-2 pass.
+// surplus refresh a φ change forces — run once for the whole batch, so N
+// simultaneous wakeups cost one Figure-2 pass.
 //
 // Equivalence with sequential Adds holds because φ values are a pure
 // function of the final runnable set (Figure 2 has no history), each

@@ -74,9 +74,8 @@ type Departure struct {
 // Deport atomically unregisters an idle tenant and returns its remaining
 // backlog and virtual-time frame lead, for re-admission on another runtime
 // (Admit). It fails with ErrMigrationRace when the tenant is momentarily
-// unmovable — running a slice, detached by the enforcer, holding blocked
-// submitters, or with accepted submissions not yet absorbed into its
-// backlog — and with ErrTenantClosed after Unregister. An unfinished head
+// unmovable — running a slice, detached by the enforcer, or holding blocked
+// submitters — and with ErrTenantClosed after Unregister. An unfinished head
 // task (one whose last dispatch returned false) does NOT block deportation:
 // replaying it on the destination re-invokes the closure exactly as the next
 // local continuation dispatch would, which tasks must tolerate by contract
@@ -96,30 +95,17 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 		sh.mu.Unlock()
 		return Departure{}, ErrTenantClosed
 	}
-	// Absorb any ring-resident submissions first so the backlog is complete;
-	// the few worker signals a drain can owe are issued by post.run after the
-	// unlock (this is not a hot path). One clock read covers the drain and
-	// the removal below.
-	now := r.clock.Now()
-	post := postActions{sh: sh}
-	sh.drainLocked(now, &post)
-	if tn.th.Running() || tn.detached || tn.waiters > 0 ||
-		tn.pending.Load() != int64(tn.n) {
-		// The pending-gate mismatch is a submission accepted but not yet
-		// pushed onto the ring; deporting now would strand it on a dead
-		// binding (the submitter's retry loop handles a *migrated* tenant,
-		// not an unregistered one, and replaying it here would reorder it
-		// ahead of its producer's earlier items).
+	if tn.th.Running() || tn.detached || tn.waiters > 0 {
 		sh.mu.Unlock()
-		post.run(r)
 		return Departure{}, ErrMigrationRace
 	}
+	now := r.clock.Now()
 	th := tn.th
 	dep := Departure{Name: th.Name, Weight: th.Weight, Service: th.Service}
 	if tn.inSched {
 		mustSched(sh.eng.Depart(th, sched.Blocked, now))
 		tn.inSched = false
-		sh.nready.Add(-1) // was runnable-not-running (the Running case failed above)
+		sh.unmarkReady(tn) // was runnable-not-running (the Running case failed above)
 	}
 	// The frame lead is read with the thread outside the runnable set
 	// (departed just above), per the sched.FrameTranslator contract. A
@@ -141,11 +127,9 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 		r.decQueued(int64(len(dep.Backlog)))
 	}
 	tn.closing = true
-	tn.closingAtomic.Store(true)
 	th.State = sched.Exited
 	sh.finalizeLocked(tn)
 	sh.mu.Unlock()
-	post.run(r)
 	r.removeTenantLocked(tn)
 	return dep, nil
 }

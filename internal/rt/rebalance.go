@@ -209,17 +209,12 @@ func (r *Runtime) migrate(tn *Tenant, src, dst *shard) bool {
 		unlockPair(src, dst)
 		return false
 	}
-	now := r.clock.Now()
-	postSrc := postActions{sh: src}
-	postDst := postActions{sh: dst}
-	r.transferLocked(tn, src, dst, now)
-	if tn.inSched {
-		postDst.signals++
-	}
-	r.sweepIntakeLocked(src, dst, now, &postSrc, &postDst)
+	r.transferLocked(tn, src, dst, r.clock.Now())
+	woke := tn.inSched
 	unlockPair(src, dst)
-	postSrc.run(r)
-	postDst.run(r)
+	if woke {
+		dst.workCond.Signal()
+	}
 	return true
 }
 
@@ -234,7 +229,7 @@ func (r *Runtime) transferLocked(tn *Tenant, src, dst *shard, now simtime.Time) 
 	th := tn.th
 	if tn.inSched {
 		mustSched(src.eng.Depart(th, sched.Blocked, now))
-		src.nready.Add(-1)
+		src.unmarkReady(tn)
 	}
 	delete(src.byThread, th)
 	src.weight -= th.Weight
@@ -253,33 +248,7 @@ func (r *Runtime) transferLocked(tn *Tenant, src, dst *shard, now simtime.Time) 
 	tn.sh.Store(dst)
 	if tn.inSched {
 		mustSched(dst.eng.Admit(th, now))
-		dst.nready.Add(1)
-	}
-}
-
-// sweepIntakeLocked drains src's intake ring with both shard locks held,
-// absorbing every item that could still name a binding moved by the transfer
-// just performed. The tail is read once (beginDrain), strictly after the
-// transfer's tn.sh.Store: a producer whose claim lands after that read also
-// rechecks the binding after its claim, so — by the seq-cst total order on
-// the ring tail — it observes dst and publishes a tombstone. Every real item
-// the sweep sees therefore belongs to a tenant currently bound to src, or to
-// the moved tenant (now bound to dst); each is absorbed under its owner's
-// lock, both of which are held.
-func (r *Runtime) sweepIntakeLocked(src, dst *shard, now simtime.Time, postSrc, postDst *postActions) {
-	for i, n := 0, src.intake.beginDrain(); i < n; i++ {
-		itn, q, at := src.intake.consume()
-		if itn == nil {
-			continue // tombstone
-		}
-		switch itn.sh.Load() {
-		case src:
-			src.applyDirectLocked(itn, q, at, now, postSrc)
-		case dst:
-			dst.applyDirectLocked(itn, q, at, now, postDst)
-		default:
-			panic("rt: intake item escaped both shards during migration")
-		}
+		dst.markReady(tn)
 	}
 }
 
@@ -342,10 +311,9 @@ type ShardStat struct {
 	StealWait LatencyStat
 	Dispatch  LatencyStat
 	Wake      LatencyStat
-	// Intake is the submit→ready stage: how long accepted submissions sat
-	// in this shard's intake ring before a drain absorbed them into their
-	// tenant's backlog (near zero unless every worker is pinned by
-	// long-running slices between drains).
+	// Intake is the submit→absorbed stage: how long SubmitTask calls waited
+	// for this shard's lock before their task joined the tenant's backlog
+	// (backpressure waits included).
 	Intake LatencyStat
 }
 

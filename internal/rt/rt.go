@@ -25,12 +25,12 @@
 // single-queue one; DESIGN.md §6 gives the argument and rebalance.go the
 // mechanism.
 //
-// Submission is lock-free: each shard fronts its lock with a bounded MPSC
-// intake ring (intake.go) that submitters publish into with two atomic
-// operations, plus one doorbell lock acquisition per burst; workers absorb
-// the ring in batches under a single lock hold, admitting N simultaneous
-// wakeups with one weight-readjustment pass (sched.BatchAdder). DESIGN.md §9
-// gives the protocol and its correctness argument.
+// Submission takes the tenant's shard lock, like every other scheduling
+// event: SubmitTask appends to the backlog and, on a wakeup, admits the
+// tenant with the §2.3 rule and runs the wakeup preemption check in the same
+// lock hold, so an accepted task is always in its tenant's backlog and a
+// completion can never mistake a tenant with work for a blocked one.
+// DESIGN.md §9 gives the measurements behind the single locked path.
 //
 // The runtime depends only on the sched.Scheduler interface plus the
 // optional capability interfaces of internal/sched (VirtualTimer,
@@ -205,23 +205,16 @@ type Config struct {
 	// (Rebalance may still be called directly).
 	RebalanceEvery time.Duration
 	// Steal arms idle-path cross-shard work stealing (steal.go, Shards > 1
-	// only): a worker that finds its shard's runqueue and intake ring empty
-	// spins briefly, then transfers the highest-surplus ready tenant from
-	// the most backlogged sibling shard — with the same lead-preserving
-	// virtual-time frame translation the rebalancer uses — before parking.
+	// only): a worker that finds its shard's runqueue empty spins briefly,
+	// then transfers the highest-surplus ready tenant from the most
+	// backlogged sibling shard — with the same lead-preserving virtual-time
+	// frame translation the rebalancer uses — before parking.
 	// This closes the §1.2 partitioned-scheduling gap at microsecond
 	// granularity while the rebalancer keeps correcting weights at its own
 	// cadence. Disarmed (the default), no steal machinery runs, per-shard
 	// dispatch traces are bit-identical to earlier releases, and TrySteal is
 	// a no-op.
 	Steal bool
-	// LockedSubmit routes every SubmitTask through the pre-intake
-	// locked slow path (shard lock plus per-submit wakeup signal) instead of
-	// the lock-free intake ring. It exists as the measured baseline for the
-	// submit-side benchmarks and their benchcmp speedup gate
-	// (BenchmarkSubmitWake, BENCH_6.json); production configurations leave
-	// it false.
-	LockedSubmit bool
 	// Enforce arms involuntary slice enforcement (enforcer.go): every
 	// dispatch is registered on its shard's timer wheel with deadline
 	// start+slice, and an enforcement pass — periodic in concurrent mode,
@@ -261,6 +254,7 @@ type Tenant struct {
 
 	waiters     int  // submitters blocked in notFull.Wait (pins the shard)
 	inSched     bool // thread currently in its shard scheduler's runnable set
+	readyIdx    int  // position in the shard's ready list while runnable-not-running
 	closing     bool // Unregister called; drains in-flight work, drops backlog
 	gone        bool // fully unregistered
 	headStarted bool // buf[head] has been dispatched at least once
@@ -270,18 +264,6 @@ type Tenant struct {
 	// not be re-admitted, dispatched, migrated or finalized until the
 	// detached slice's Complete clears the flag.
 	detached bool
-
-	// pending is the lock-free backpressure gate: accepted-but-not-retired
-	// tasks, incremented by a submit-side CAS reservation before the intake
-	// push and decremented when the task is finally popped (or dropped at
-	// absorption for a tenant that closed after acceptance). pending ≥ n
-	// always; they are equal whenever no accepted item of this tenant is
-	// still in flight toward its backlog — in particular always in Manual
-	// mode, where SubmitTask absorbs eagerly.
-	pending atomic.Int64
-	// closingAtomic mirrors closing for the lock-free submit fast path;
-	// exact error selection still happens under the shard lock.
-	closingAtomic atomic.Bool
 
 	// Latency accounting (shard lock): readyAt is when the tenant last
 	// became dispatchable (woke, or completed a slice with work left);
@@ -316,16 +298,15 @@ type Runtime struct {
 	// slot gets a fresh record so the lane's next dispatch cannot alias the
 	// still-running slice) and the detached record lives on until its
 	// out-of-band Complete.
-	dslots       []*Dispatched
-	spareShard   []*shard // spare slot index − len(workerShard) → owning shard
-	clock        Clock
-	qcap         int
-	manual       bool
-	preempt      bool
-	lockedSubmit bool
-	enforce      bool
-	enforceTick  simtime.Duration
-	steal        bool
+	dslots      []*Dispatched
+	spareShard  []*shard // spare slot index − len(workerShard) → owning shard
+	clock       Clock
+	qcap        int
+	manual      bool
+	preempt     bool
+	enforce     bool
+	enforceTick simtime.Duration
+	steal       bool
 
 	closed atomic.Bool
 	steals atomic.Int64 // successful cross-shard steals (steal.go)
@@ -386,8 +367,7 @@ func New(cfg Config) *Runtime {
 		etick = DefaultEnforceTick
 	}
 	r := &Runtime{clock: clock, qcap: qcap, manual: cfg.Manual, preempt: cfg.Preempt,
-		lockedSubmit: cfg.LockedSubmit, enforce: cfg.Enforce, enforceTick: etick,
-		steal: cfg.Steal && nshards > 1}
+		enforce: cfg.Enforce, enforceTick: etick, steal: cfg.Steal && nshards > 1}
 	r.quietCond = sync.NewCond(&r.quietMu)
 	base, extra := cfg.Workers/nshards, cfg.Workers%nshards
 	for i := 0; i < nshards; i++ {
@@ -416,11 +396,6 @@ func New(cfg Config) *Runtime {
 		sh.eng = engine.New(sch)
 		sh.workCond = sync.NewCond(&sh.mu)
 		sh.spareCond = sync.NewCond(&sh.mu)
-		sh.intake.init()
-		sh.wokeScratch = make([]*Tenant, 0, intakeCap)
-		sh.thScratch = make([]*sched.Thread, 0, intakeCap)
-		sh.rankScratch = make([]float64, 0, count)
-		sh.slotScratch = make([]*Dispatched, 0, count)
 		sh.active = make([]*Dispatched, 0, count)
 		sh.lanes = make([]int, 0, count)
 		sh.wheel.tick = etick
@@ -568,7 +543,6 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 		return ErrTenantClosed
 	}
 	tn.closing = true
-	tn.closingAtomic.Store(true)
 	tn.notFull.Broadcast()
 	if tn.th.Running() || tn.detached {
 		// A detached tenant's head task is still executing out of band even
@@ -581,7 +555,7 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 	if tn.inSched {
 		mustSched(sh.eng.Depart(tn.th, sched.Exited, r.clock.Now()))
 		tn.inSched = false
-		sh.nready.Add(-1) // was runnable-not-running (the Running case returned above)
+		sh.unmarkReady(tn) // was runnable-not-running (the Running case returned above)
 	}
 	sh.finalizeLocked(tn)
 	sh.mu.Unlock()
@@ -725,108 +699,13 @@ func (p *postActions) run(r *Runtime) {
 	}
 }
 
-// reserve claims one backlog slot against the lock-free backpressure gate
-// and counts the task globally. The reservation is released at pop (final
-// completion or backlog drop) or when a closing tenant's item is dropped at
-// absorption, so gQueued covers ring-resident items and Drain cannot return
-// early past them.
-func (tn *Tenant) reserve() bool {
-	limit := int64(len(tn.buf))
-	for {
-		p := tn.pending.Load()
-		if p >= limit {
-			return false
-		}
-		if tn.pending.CompareAndSwap(p, p+1) {
-			tn.r.gQueued.Add(1)
-			return true
-		}
-	}
-}
-
-// submit is the lock-free intake fast path: one CAS reservation against the
-// backpressure gate, one lock-free push onto the tenant's shard's intake
-// ring, and — when no drain is pending there — a single doorbell lock
-// acquisition for the whole burst. Every other submitter in the burst never
-// touches sh.mu. The slow path (enqueueSlow) handles a full backlog, a full
-// ring, and the Config.LockedSubmit baseline.
+// submit is the one submit path: under the tenant's shard lock it checks
+// the runtime and tenant are open, waits out backpressure (or fails with
+// NoWait), and enqueues — admitting the tenant on a wakeup in the same lock
+// hold. Worker signals and the steal offer run after the unlock.
 func (tn *Tenant) submit(q queued, block bool) error {
 	r := tn.r
-	if r.closed.Load() {
-		return ErrRuntimeClosed
-	}
-	if tn.closingAtomic.Load() {
-		return ErrTenantClosed
-	}
 	at := r.clock.Now()
-	if r.lockedSubmit {
-		return tn.enqueueSlow(q, at, block)
-	}
-	if !tn.reserve() {
-		if !block {
-			return ErrBackpressure
-		}
-		return tn.enqueueSlow(q, at, true)
-	}
-	for {
-		sh := tn.sh.Load()
-		ok, moved := sh.intakePush(tn, q, at)
-		if moved {
-			continue // migrated between shard lookup and slot claim; retry
-		}
-		if !ok {
-			// Ring full: absorb under the lock. Draining first keeps this
-			// producer's item behind its own earlier ring items (FIFO). The
-			// clock is re-read under the lock: the mutex wait is unbounded,
-			// and absorption instants anchor wakeup tags.
-			sh := tn.lockShard()
-			now := r.clock.Now()
-			post := postActions{sh: sh}
-			sh.drainLocked(now, &post)
-			sh.applyDirectLocked(tn, q, at, now, &post)
-			sh.mu.Unlock()
-			post.run(r)
-			return nil
-		}
-		if r.manual {
-			// Manual mode: absorb eagerly so submit keeps its deterministic
-			// effects — the wakeup Add and any preemption flag land at the
-			// submit instant, batch size 1, replaying the pre-intake golden
-			// traces bit for bit while still exercising the ring.
-			post := postActions{sh: sh}
-			sh.mu.Lock()
-			sh.drainLocked(r.clock.Now(), &post)
-			sh.mu.Unlock()
-			post.run(r)
-			return nil
-		}
-		if sh.drainPending.CompareAndSwap(false, true) {
-			// Doorbell: one submitter per burst takes the lock. While the
-			// flag is up every other submitter skips both lock and signal;
-			// the winner must therefore act under the lock itself — a lost
-			// wakeup here would never be repaired. If preemption is armed
-			// and no worker is idle, the wakeup must not wait for a worker's
-			// next drain (a full slice away): drain inline so the PR-5
-			// preemption flag is raised at the submit instant.
-			post := postActions{sh: sh}
-			sh.mu.Lock()
-			if r.preempt && sh.eng.Pre != nil && sh.running >= sh.workers {
-				sh.drainLocked(r.clock.Now(), &post)
-			} else {
-				sh.workCond.Signal()
-			}
-			sh.mu.Unlock()
-			post.run(r)
-		}
-		return nil
-	}
-}
-
-// enqueueSlow is the locked submit path: backpressure waiting, ring
-// overflow, and the Config.LockedSubmit baseline land here. It preserves the
-// pre-intake blocking semantics (exact closed/closing errors, notFull wait).
-func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
-	r := tn.r
 	sh := tn.lockShard()
 	for {
 		if r.closed.Load() {
@@ -837,7 +716,7 @@ func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
 			sh.mu.Unlock()
 			return ErrTenantClosed
 		}
-		if tn.reserve() {
+		if tn.n < len(tn.buf) {
 			break
 		}
 		if !block {
@@ -850,22 +729,23 @@ func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
 		tn.notFull.Wait()
 		tn.waiters--
 	}
-	// The clock is re-read after the reservation succeeds: a backpressured
-	// submitter may have slept in notFull.Wait across many clock advances,
-	// and absorbing at the stale pre-wait instant would backdate the wakeup.
-	now := r.clock.Now()
+	// The clock is re-read under the lock: the mutex wait (and any
+	// backpressure sleep) is unbounded, and the enqueue instant anchors the
+	// wakeup tags.
 	post := postActions{sh: sh}
-	sh.drainLocked(now, &post)
-	sh.applyDirectLocked(tn, q, at, now, &post)
+	sh.enqueueLocked(tn, q, at, r.clock.Now(), &post)
 	sh.mu.Unlock()
 	post.run(r)
 	return nil
 }
 
-// Queued returns the tenant's backlog length: an unfinished in-flight task,
-// queued tasks, and accepted submissions not yet absorbed from the intake
-// ring.
-func (tn *Tenant) Queued() int { return int(tn.pending.Load()) }
+// Queued returns the tenant's backlog length, including an unfinished
+// in-flight task.
+func (tn *Tenant) Queued() int {
+	sh := tn.lockShard()
+	defer sh.mu.Unlock()
+	return tn.n
+}
 
 // Dispatched is an in-flight slice: a tenant's head task granted to a worker.
 type Dispatched struct {
@@ -952,20 +832,8 @@ func (r *Runtime) Dispatch(worker int) *Dispatched {
 		sh.mu.Unlock()
 		return nil // Close abandons the remaining backlog
 	}
-	// Absorb any intake first: in Manual mode the ring is already empty
-	// (submit drains eagerly), so this is a no-op that cannot perturb golden
-	// traces; in concurrent mode it lets an external dispatcher see work
-	// that has not been drained by a worker yet. One clock read covers both
-	// the drain and the dispatch.
-	now := r.clock.Now()
-	post := postActions{sh: sh}
-	sh.drainLocked(now, &post)
-	d := sh.dispatchLocked(worker, r.workerLocal[worker], now)
-	if d != nil && post.signals > 0 {
-		post.signals-- // this dispatch consumes one owed wakeup
-	}
+	d := sh.dispatchLocked(worker, r.workerLocal[worker], r.clock.Now())
 	sh.mu.Unlock()
-	post.run(r)
 	return d
 }
 
@@ -988,9 +856,9 @@ func (d *Dispatched) Complete(done bool) simtime.Duration {
 // completeLocked is Complete under an already-held shard lock; the fused
 // worker loop uses it to complete and re-dispatch in one lock acquisition,
 // and now is that lock hold's single cached clock read — the completion
-// charge, the drain absorption and the next dispatch all anchor to the same
-// instant. Deferred effects (worker signals, registry removal of a finalized
-// tenant) accumulate in post.
+// charge and the next dispatch anchor to the same instant. Deferred effects
+// (worker signals, registry removal of a finalized tenant) accumulate in
+// post.
 func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActions) simtime.Duration {
 	r, sh, tn := d.r, d.sh, d.tn
 	if !d.inFlight {
@@ -1010,7 +878,6 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		tn.detached = false
 		mustSched(sh.eng.Admit(th, now))
 		tn.inSched = true
-		sh.nready.Add(1)
 		if d.sl.Uncharged(now) > 0 {
 			sh.service += sh.eng.Settle(&d.sl, now, engine.NoCap)
 		}
@@ -1027,9 +894,6 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		th.CPU = sched.NoCPU
 		th.LastCPU = d.local
 		sh.running--
-		// The tenant is runnable-not-running from here until the pop below
-		// decides whether it stays in the set; the Remove branch re-decrements.
-		sh.nready.Add(1)
 		sh.activeRemove(d)
 		if d.armed {
 			sh.wheel.remove(d)
@@ -1055,7 +919,6 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		}
 		mustSched(sh.eng.Depart(th, st, now))
 		tn.inSched = false
-		sh.nready.Add(-1)
 		if tn.closing {
 			sh.finalizeLocked(tn)
 			post.finalized = tn
@@ -1064,6 +927,7 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		// Work remains: the tenant is dispatchable again from this instant,
 		// the anchor for its next ready→dispatch latency sample — and one
 		// waiting worker should pick it up.
+		sh.markReady(tn)
 		tn.readyAt = now
 		post.signals++
 	}
@@ -1076,10 +940,10 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 	return elapsed
 }
 
-// worker is the pool loop, fused so that completing a slice, draining the
-// intake ring and picking the next tenant share one lock acquisition. Tasks
-// run outside the lock; a panicking task is recovered, charged, and dropped,
-// so one bad handler cannot wedge a worker.
+// worker is the pool loop, fused so that completing a slice and picking the
+// next tenant share one lock acquisition. Tasks run outside the lock; a
+// panicking task is recovered, charged, and dropped, so one bad handler
+// cannot wedge a worker.
 //
 // Regular workers start holding a lane (a shard-local CPU index); spare
 // workers start without one (lane < 0) and park on spareCond until an
@@ -1095,10 +959,10 @@ func (r *Runtime) worker(slot int, sh *shard, lane int) {
 	for {
 		post := postActions{sh: sh}
 		sh.mu.Lock()
-		// One clock read per lock hold: the completion charge, the intake
-		// drain and the next dispatch below all anchor to this instant. It is
-		// re-read after every Wait and every unlock/relock, where unbounded
-		// real time may have passed.
+		// One clock read per lock hold: the completion charge and the next
+		// dispatch below both anchor to this instant. It is re-read after
+		// every Wait and every unlock/relock, where unbounded real time may
+		// have passed.
 		now := r.clock.Now()
 		if d != nil {
 			detached := d.detached
@@ -1142,7 +1006,6 @@ func (r *Runtime) worker(slot int, sh *shard, lane int) {
 					continue
 				}
 			}
-			sh.drainLocked(now, &post)
 			if nd := sh.dispatchLocked(slot, lane, now); nd != nil {
 				d = nd
 				if post.signals > 0 {
@@ -1151,8 +1014,8 @@ func (r *Runtime) worker(slot int, sh *shard, lane int) {
 				// Dispatch-side steal offer: this shard still has ready
 				// tenants beyond what its (fully busy) workers can take. A
 				// perpetually backlogged tenant re-queues from completions
-				// and never crosses the drain's wakeup admission, so without
-				// this the drain-side offer would never advertise a steady
+				// and never crosses a submit's wakeup admission, so without
+				// this the submit-side offer would never advertise a steady
 				// backlog to parked siblings.
 				if r.steal && sh.nready.Load() > 0 && sh.idlers.Load() == 0 {
 					post.offer = true
@@ -1422,23 +1285,6 @@ func (r *Runtime) CheckInvariants() error {
 	defer r.regMu.Unlock()
 	r.lockShards()
 	defer r.unlockShards()
-	// Absorb pending intake first so ring-resident items are visible as
-	// backlog. Every shard lock is held, so no drain races this one; the
-	// few worker signals a drain can owe are issued under the lock (this is
-	// not a hot path).
-	now := r.clock.Now()
-	for _, sh := range r.shards {
-		post := postActions{sh: sh}
-		sh.drainLocked(now, &post)
-		for ; post.signals > 0; post.signals-- {
-			sh.workCond.Signal()
-		}
-	}
-	// In Manual mode the counters are exact; in concurrent mode lock-free
-	// reservations (tn.pending, gQueued) can land between the drain above
-	// and the reads below without their items being in any backlog yet, so
-	// those two checks are one-sided there.
-	exact := r.manual
 	totalQueued := 0
 	registered := make(map[*Tenant]bool, len(r.tenants))
 	for _, tn := range r.tenants {
@@ -1447,10 +1293,6 @@ func (r *Runtime) CheckInvariants() error {
 		}
 	}
 	seen := 0
-	// gateSlack collects tenants whose lock-free backpressure gate exceeds
-	// their absorbed backlog; legitimate only while reservations are in
-	// flight, which the quiescence check below rules out.
-	var gateSlack []*Tenant
 	for _, sh := range r.shards {
 		queued, running, ready := 0, 0, 0
 		weight := 0.0
@@ -1482,14 +1324,6 @@ func (r *Runtime) CheckInvariants() error {
 				return fmt.Errorf("rt: tenant %s detached with %d queued, running=%v",
 					th, tn.n, th.Running())
 			}
-			// The backpressure gate covers at least the absorbed backlog;
-			// any excess is in-flight reservations (none in Manual mode).
-			if p := tn.pending.Load(); p < int64(tn.n) || (exact && p != int64(tn.n)) {
-				return fmt.Errorf("rt: tenant %s pending gate %d with %d queued",
-					th, p, tn.n)
-			} else if p != int64(tn.n) {
-				gateSlack = append(gateSlack, tn)
-			}
 		}
 		if queued != sh.queued {
 			return fmt.Errorf("rt: shard %d queued counter %d, tenants hold %d",
@@ -1499,12 +1333,19 @@ func (r *Runtime) CheckInvariants() error {
 			return fmt.Errorf("rt: shard %d running counter %d, threads show %d",
 				sh.id, sh.running, running)
 		}
-		// nready is the lock-free victim-selection signal thieves read; it is
-		// updated under the shard lock at every runnable-set transition, so
-		// under this full freeze it must equal the runnable-not-running count.
-		if nr := sh.nready.Load(); nr != int64(ready) {
-			return fmt.Errorf("rt: shard %d nready counter %d, threads show %d",
-				sh.id, nr, ready)
+		// The ready list (and nready, its published length) is maintained
+		// under the shard lock at every runnable-set transition, so under
+		// this full freeze it must hold exactly the runnable-not-running
+		// tenants.
+		if nr := sh.nready.Load(); nr != int64(ready) || len(sh.ready) != ready {
+			return fmt.Errorf("rt: shard %d nready counter %d, ready list %d, threads show %d",
+				sh.id, nr, len(sh.ready), ready)
+		}
+		for i, tn := range sh.ready {
+			if tn.readyIdx != i || tn.sh.Load() != sh || !tn.inSched || tn.th.Running() {
+				return fmt.Errorf("rt: shard %d ready list slot %d holds %s (index %d, inSched=%v, running=%v)",
+					sh.id, i, tn.th, tn.readyIdx, tn.inSched, tn.th.Running())
+			}
 		}
 		if len(sh.active) != sh.running {
 			return fmt.Errorf("rt: shard %d running counter %d, active list holds %d",
@@ -1525,19 +1366,11 @@ func (r *Runtime) CheckInvariants() error {
 		return fmt.Errorf("rt: registry lists %d live tenants, shards hold %d",
 			len(registered), seen)
 	}
-	if g := r.gQueued.Load(); g < int64(totalQueued) || (exact && g != int64(totalQueued)) {
+	// Every task is counted into gQueued and its tenant's backlog in the
+	// same shard-lock hold, and retired from both in another, so under this
+	// freeze the global count is exact in every mode.
+	if g := r.gQueued.Load(); g != int64(totalQueued) {
 		return fmt.Errorf("rt: global queued counter %d, shards hold %d", g, totalQueued)
-	}
-	// Exact quiescent-state check, concurrent mode included: retiring a
-	// reservation needs a shard lock (all held), so gQueued cannot decrease
-	// during this freeze, and reading it zero *after* the per-tenant gate
-	// reads proves no reservation was in flight while they were taken — any
-	// recorded gate slack is then a leaked backpressure reservation, the
-	// exact failure the one-sided check above cannot see.
-	if r.gQueued.Load() == 0 && len(gateSlack) > 0 {
-		tn := gateSlack[0]
-		return fmt.Errorf("rt: quiescent but tenant %s pending gate %d with %d queued (leaked reservation)",
-			tn.th, tn.pending.Load(), tn.n)
 	}
 	return nil
 }
@@ -1546,7 +1379,6 @@ func (tn *Tenant) pop() {
 	tn.buf[tn.head] = queued{}
 	tn.head = (tn.head + 1) % len(tn.buf)
 	tn.n--
-	tn.pending.Add(-1) // release the submit-side backpressure reservation
 	tn.headStarted = false
 }
 

@@ -46,8 +46,8 @@ type shard struct {
 	preempts int64            // preemption flags raised on this shard's slices
 	waitHist metrics.Histogram
 	wakeHist metrics.Histogram
-	// intakeHist is the submit→ready stage: how long an accepted submission
-	// sat in the intake ring before the drain absorbed it into the backlog.
+	// intakeHist is the submit→absorbed stage: how long a SubmitTask call
+	// waited for the shard lock before its task joined the backlog.
 	intakeHist metrics.Histogram
 	workCond   *sync.Cond
 
@@ -72,190 +72,61 @@ type shard struct {
 	// histogram stage.
 	overrunHist metrics.Histogram
 
-	// Work stealing (steal.go). nready is the atomic per-shard load count
-	// thieves pick victims by: the number of runnable-not-running tenants,
-	// updated under the shard lock at every runnable-set transition but read
-	// lock-free. idlers counts workers parked on workCond, read lock-free by
-	// offerSteal to route surplus wakeups to an idle sibling. steals/stolen
-	// count this shard's thefts as thief and victim; stealHist records, at
-	// each steal, how long the stolen tenant had been ready on the victim —
-	// the imbalance window stealing closed.
+	// Work stealing (steal.go). ready lists the runnable-not-running
+	// tenants (markReady/unmarkReady at every runnable-set transition), so a
+	// thief ranks only stealable candidates rather than every tenant on the
+	// victim; nready publishes its length for lock-free victim probes.
+	// idlers counts workers parked on workCond, read lock-free by offerSteal
+	// to route surplus wakeups to an idle sibling. steals/stolen count this
+	// shard's thefts as thief and victim; stealHist records, at each steal,
+	// how long the stolen tenant had been ready on the victim — the
+	// imbalance window stealing closed.
+	ready     []*Tenant
 	nready    atomic.Int64
 	idlers    atomic.Int64
 	steals    int64 // steals performed by this shard's idle workers (shard lock)
 	stolen    int64 // tenants stolen from this shard (shard lock)
 	stealHist metrics.Histogram
-
-	// intake is the lock-free submit path (intake.go); drainPending is its
-	// doorbell: set by the one submitter per burst that takes the lock,
-	// cleared by drainLocked before it reads the tail, so every push strictly
-	// after the clear is covered by a later doorbell win.
-	intake       intakeRing
-	drainPending atomic.Bool
-
-	// Drain scratch, preallocated to the ring capacity (woke/th) and the
-	// worker count (rank/slot) so the drain side allocates nothing.
-	wokeScratch []*Tenant
-	thScratch   []*sched.Thread
-	rankScratch []float64
-	slotScratch []*Dispatched
 }
 
-// intakePush publishes one accepted submission (reservation already taken)
-// onto this shard's ring. moved reports the migration race: the tenant's
-// shard binding changed between the caller's shard lookup and the slot
-// claim, so the slot was published as a tombstone and the caller must retry
-// against the tenant's current shard. The recheck sits *between* claim and
-// publish: a producer that claims after the migration sweep's tail read is
-// guaranteed (by the seq-cst total order on tail) to observe the new
-// binding here, which is what makes the sweep see every real item that
-// could name the old shard.
-func (sh *shard) intakePush(tn *Tenant, q queued, at simtime.Time) (ok, moved bool) {
-	slot, pos, ok := sh.intake.claim()
-	if !ok {
-		return false, false
-	}
-	slot.tn, slot.q, slot.at = tn, q, at
-	if tn.sh.Load() != sh {
-		slot.tn = nil
-		slot.q = queued{}
-		sh.intake.publish(slot, pos)
-		return false, true
-	}
-	sh.intake.publish(slot, pos)
-	return true, false
-}
-
-// drainLocked absorbs the intake ring into tenant backlogs in one batch:
-// the tail is read once, every item is applied (or dropped, for tenants that
-// closed after acceptance), and the newly woken tenants are admitted to the
-// scheduler together — one weight-readjustment pass via sched.BatchAdder
-// when the policy has it — with the PR-5 preemption check run batch-wide at
-// the end. Worker wakeup signals are deferred to post (issued after the
-// shard lock is released). now is the caller's cached clock read for this
-// lock hold: every helper fused under one acquisition (complete, drain,
-// dispatch) shares one instant instead of re-reading the clock per stage.
-func (sh *shard) drainLocked(now simtime.Time, post *postActions) {
-	// Clear the doorbell before reading the tail: a push that misses this
-	// drain's tail read necessarily CASes drainPending after this store, so
-	// it wins the doorbell and a follow-up drain covers it.
-	sh.drainPending.Store(false)
-	n := sh.intake.beginDrain()
-	if n == 0 {
-		return
-	}
-	woke := sh.wokeScratch[:0]
-	for i := 0; i < n; i++ {
-		tn, q, at := sh.intake.consume()
-		if tn == nil {
-			continue // tombstone: the producer retried on another shard
-		}
-		if tn.sh.Load() != sh {
-			// The migration sweep (rebalance.go) absorbs all items of a
-			// moving tenant under both locks; a foreign item surviving to a
-			// normal drain means that protocol broke.
-			panic("rt: intake item for a tenant bound to another shard")
-		}
-		if sh.absorbLocked(tn, q, at, now) {
-			woke = append(woke, tn)
-		}
-	}
-	switch len(woke) {
-	case 0:
-	case 1:
-		// Single wakeup: the exact sequence the locked submit path used, so
-		// Manual-mode drains (batch size 1 by construction) replay the
-		// pre-intake golden traces bit for bit.
-		sh.admitLocked(woke[0], now)
-		post.signals++
-	default:
-		sh.admitBatchLocked(woke, now)
-		post.signals += len(woke)
-	}
-	if sh.r.steal && int64(len(woke)) > sh.idlers.Load() {
-		// More wakeups than this shard has parked workers: the surplus would
-		// wait out the next local slice boundary. Offer it to an idle sibling
-		// (post-lock, steal.go), whose thief re-arms and pulls it over —
-		// without this, a worker that parked after a failed steal round never
-		// learns a sibling became backlogged.
-		post.offer = true
-	}
-	sh.wokeScratch = woke[:0]
-}
-
-// absorbLocked moves one accepted submission into the tenant's backlog. The
-// backpressure reservation (tn.pending, gQueued) was taken at submit time;
-// dropped items for closing tenants release it here instead. It reports
-// whether the item woke the tenant (empty backlog before, so the tenant must
-// be admitted to the runnable set).
-func (sh *shard) absorbLocked(tn *Tenant, q queued, at, now simtime.Time) bool {
-	if tn.closing || tn.gone {
-		// Accepted before the tenant closed, dropped at absorption — the
-		// same fate Unregister deals any backlogged task.
-		tn.pending.Add(-1)
-		sh.r.decQueued(1)
-		return false
-	}
+// enqueueLocked appends one accepted task to the tenant's backlog (the
+// caller has checked the tenant is open and has room). When the task wakes
+// the tenant — empty backlog, not already runnable — it is admitted with the
+// §2.3 wakeup rule S_i = max(F_i, v) through the scheduler's Add, followed by
+// the single-wakeup preemption check; a worker signal is owed, and with
+// stealing armed and no idle local worker the wakeup is also offered to an
+// idle sibling (post-lock, steal.go). at is the submit call's instant, now
+// this lock hold's clock read.
+func (sh *shard) enqueueLocked(tn *Tenant, q queued, at, now simtime.Time, post *postActions) {
 	tn.buf[(tn.head+tn.n)%len(tn.buf)] = q
 	tn.n++
 	sh.queued++
+	sh.r.gQueued.Add(1)
 	if lat := now.Sub(at); lat >= 0 {
 		sh.intakeHist.Record(lat)
 	}
-	if tn.inSched || tn.wokePending || tn.detached {
-		// Already runnable — or already woken by an earlier item of this
-		// same drain batch (inSched is set only when the batch is admitted,
-		// so wokePending is the within-batch wake marker: outside a batch a
-		// woken tenant is always still inSched until dispatched). A detached
-		// tenant is busy out of band: re-admitting it would let the shard
-		// dispatch the very task that is still executing, so the wakeup is
-		// deferred to the detached slice's Complete.
-		return false
+	if tn.inSched || tn.detached {
+		// Already runnable, or busy out of band: re-admitting a detached
+		// tenant would let the shard dispatch the very task that is still
+		// executing, so its wakeup is deferred to the detached slice's
+		// Complete.
+		return
 	}
-	// Wakeup: S_i = max(F_i, v) via the scheduler's Add rule, applied by
-	// admitLocked/admitBatchLocked once the batch is collected.
 	tn.th.State = sched.Runnable
 	tn.readyAt = now
 	tn.wokeAt = now
 	tn.wokePending = true
-	return true
-}
-
-// admitLocked admits one woken tenant: scheduler Add, then the single-wakeup
-// preemption check, exactly as the pre-intake locked submit path did.
-func (sh *shard) admitLocked(tn *Tenant, now simtime.Time) {
 	mustSched(sh.eng.Admit(tn.th, now))
 	tn.inSched = true
-	sh.nready.Add(1)
+	sh.markReady(tn)
 	sh.maybePreemptLocked(tn, now)
-}
-
-// admitBatchLocked admits several woken tenants at one instant: one AddBatch
-// (one readjustment pass) when the policy implements sched.BatchAdder, plain
-// Adds otherwise, then one batch-wide preemption pass.
-func (sh *shard) admitBatchLocked(woke []*Tenant, now simtime.Time) {
-	ths := sh.thScratch[:0]
-	for _, tn := range woke {
-		ths = append(ths, tn.th)
-	}
-	mustSched(sh.eng.AdmitBatch(ths, now))
-	sh.thScratch = ths[:0]
-	for _, tn := range woke {
-		tn.inSched = true
-	}
-	sh.nready.Add(int64(len(woke)))
-	sh.preemptBatchLocked(woke, now)
-}
-
-// applyDirectLocked absorbs one already-reserved submission bypassing the
-// ring: the locked fallback paths (ring overflow, backpressure waiters,
-// Config.LockedSubmit) and the migration sweep land here. Callers that care
-// about per-producer FIFO drain the ring first, so earlier ring items from
-// the same producer are absorbed before this one.
-func (sh *shard) applyDirectLocked(tn *Tenant, q queued, at, now simtime.Time, post *postActions) {
-	if sh.absorbLocked(tn, q, at, now) {
-		sh.admitLocked(tn, now)
-		post.signals++
+	post.signals++
+	if sh.r.steal && sh.idlers.Load() == 0 {
+		// No parked local worker: the wakeup would wait out the next local
+		// slice boundary. Offer it to an idle sibling, whose thief re-arms
+		// and pulls it over — without this, a worker that parked after a
+		// failed steal round never learns a sibling became backlogged.
+		post.offer = true
 	}
 }
 
@@ -277,7 +148,7 @@ func (sh *shard) dispatchLocked(worker, local int, now simtime.Time) *Dispatched
 		panic(fmt.Errorf("rt: %w: %v with no queued work", engine.ErrUnknownThread, th))
 	}
 	sh.running++
-	sh.nready.Add(-1)
+	sh.unmarkReady(tn)
 	// Latency accounting: ready→dispatch on every dispatch, wakeup→first
 	// dispatch when a wakeup submit is still pending its dispatch. Both are
 	// bare histogram increments (metrics.Histogram is fixed-size), keeping
@@ -323,6 +194,25 @@ func (sh *shard) dispatchLocked(worker, local int, now simtime.Time) *Dispatched
 		sh.wheel.arm(d, d.sl.Start.Add(d.sl.Quantum), sh.r.enforceTick)
 	}
 	return d
+}
+
+// markReady adds a tenant that just became runnable-not-running to the
+// shard's ready list; unmarkReady removes it (swap-remove) when it is
+// dispatched or leaves the runnable set.
+func (sh *shard) markReady(tn *Tenant) {
+	tn.readyIdx = len(sh.ready)
+	sh.ready = append(sh.ready, tn)
+	sh.nready.Store(int64(len(sh.ready)))
+}
+
+func (sh *shard) unmarkReady(tn *Tenant) {
+	last := len(sh.ready) - 1
+	moved := sh.ready[last]
+	sh.ready[tn.readyIdx] = moved
+	moved.readyIdx = tn.readyIdx
+	sh.ready[last] = nil
+	sh.ready = sh.ready[:last]
+	sh.nready.Store(int64(last))
 }
 
 // activeRemove unlinks an in-flight slice from the shard's active list
@@ -386,52 +276,6 @@ func (sh *shard) maybePreemptLocked(woken *Tenant, now simtime.Time) {
 	victim.preempted.Store(true)
 	victim.tn.preempts++
 	sh.preempts++
-}
-
-// preemptBatchLocked is maybePreemptLocked for a multi-wakeup drain batch:
-// instead of rescanning every running slice once per woken tenant, the
-// slices are ranked once into shard scratch, then each woken tenant (in
-// intake FIFO order, matching the order sequential Submits would have been
-// applied) claims the worst-ranked remaining slice it out-ranks. Already
-// flagged slices are excluded up front, exactly as the per-wakeup scan
-// excludes them.
-func (sh *shard) preemptBatchLocked(woke []*Tenant, now simtime.Time) {
-	r := sh.r
-	if !r.preempt || sh.eng.Pre == nil || sh.running < sh.workers {
-		return
-	}
-	ranks := sh.rankScratch[:0]
-	slots := sh.slotScratch[:0]
-	for _, d := range sh.active {
-		if d.preempted.Load() {
-			continue
-		}
-		ranks = append(ranks, sh.eng.RankRunning(&d.sl, now))
-		slots = append(slots, d)
-	}
-	for _, tn := range woke {
-		if len(slots) == 0 {
-			break
-		}
-		worst := 0
-		for i := 1; i < len(slots); i++ {
-			if ranks[i] > ranks[worst] ||
-				(ranks[i] == ranks[worst] && slots[i].worker < slots[worst].worker) {
-				worst = i
-			}
-		}
-		if sh.eng.RankWoken(tn.th) >= ranks[worst] {
-			continue
-		}
-		victim := slots[worst]
-		victim.preempted.Store(true)
-		victim.tn.preempts++
-		sh.preempts++
-		last := len(slots) - 1
-		slots[worst], ranks[worst] = slots[last], ranks[last]
-		slots, ranks = slots[:last], ranks[:last]
-	}
-	sh.rankScratch, sh.slotScratch = ranks[:0], slots[:0]
 }
 
 // dropBacklogLocked discards a closing tenant's pending tasks, including an

@@ -8,9 +8,9 @@
 // and the only remedy — the surplus-driven rebalancer — runs at a period
 // (100 ms default) five orders of magnitude above a dispatch. With
 // Config.Steal armed, an idle worker closes the gap itself: finding its
-// shard's runqueue and intake ring empty, it (1) spins briefly off the lock
-// in case local work is already in flight, (2) attempts a bounded number of
-// steals from the most backlogged siblings, and only then (3) parks.
+// shard's runqueue empty, it (1) spins briefly off the lock in case local
+// work is already in flight, (2) attempts a bounded number of steals from the
+// most backlogged siblings, and only then (3) parks.
 //
 // Victim selection is lock-free: each shard maintains nready, an atomic count
 // of its runnable-not-running tenants (updated under the shard lock at every
@@ -19,11 +19,11 @@
 // The steal itself takes both shard locks in the canonical ascending-id
 // order — the same two-lock protocol migrate uses, so steals, migrations,
 // enforcement handoffs and cluster Deport/Admit serialize against each other
-// without new lock-order edges. Under the locks the thief first drains the
-// victim's intake ring (ring items are strictly older than anything the
-// runqueue scan sees, and absorbing them may surface a better candidate),
-// then transfers the highest-surplus ready tenant — ranked by the policy's
-// own sched.LagReporter surplus, the §3.1 α_i = φ_i·(S_i − v) under SFS —
+// without new lock-order edges. Under the locks the thief scans the victim's
+// ready list (its runnable-not-running tenants only, so a steal costs the
+// backlog it targets rather than the victim's whole tenant population) and
+// transfers the highest-surplus ready tenant — ranked by the policy's own
+// sched.LagReporter surplus, the §3.1 α_i = φ_i·(S_i − v) under SFS —
 // through transferLocked, the lead-preserving virtual-time frame translation
 // migration already proved fairness-safe (DESIGN.md §6): the move perturbs
 // the tenant's allocation by at most its current lead over v, one quantum's
@@ -36,15 +36,15 @@
 // which is how stealing composes with slice enforcement without touching the
 // wheel here.
 //
-// Parked workers re-arm through the victim side: a drain that admits more
-// wakeups than its shard has idle workers, or a dispatch that leaves ready
+// Parked workers re-arm through the victim side: a submit that wakes a
+// tenant while its shard has no idle worker, or a dispatch that leaves ready
 // tenants behind with every local worker busy, raises post.offer, and
 // offerSteal signals one idle sibling's workCond off-lock — the woken worker
 // finds nothing local, re-enters this path, and pulls the surplus over.
 // Without the offers, a worker that parked after a failed steal round would
 // sleep through a sibling becoming backlogged; the dispatch-side trigger
 // matters for perpetually backlogged tenants, which re-queue from completions
-// and never cross the drain's wakeup admission at all.
+// and never cross a submit's wakeup admission at all.
 //
 // Disarmed (the default), none of this runs: no spin, no probes, no offers,
 // and per-shard dispatch traces are bit-identical to earlier releases, which
@@ -55,14 +55,14 @@ package rt
 import "fmt"
 
 const (
-	// stealSpinIters bounds the pre-steal idle spin: a tight loop of two
-	// atomic loads per iteration, deliberately yield-free — a Gosched here
+	// stealSpinIters bounds the pre-steal idle spin: a tight loop of one
+	// atomic load per iteration, deliberately yield-free — a Gosched here
 	// parks the would-be thief on the global run queue, which a saturated
 	// scheduler polls rarely, turning a "brief" spin into hundreds of
 	// milliseconds of limbo during which the worker neither steals nor
 	// registers as an idler for the offer protocol to wake. A futile spin
-	// costs nanoseconds; catching a submit burst already in flight toward
-	// this shard's ring saves a pointless cross-shard transfer.
+	// costs nanoseconds; catching a local wakeup that lands meanwhile saves
+	// a pointless cross-shard transfer.
 	stealSpinIters = 128
 	// stealMaxVictims bounds how many sibling shards one steal round probes:
 	// the argmax victim first, then the next most backlogged, so transient
@@ -90,14 +90,13 @@ func (r *Runtime) TrySteal(worker int) bool {
 	return r.trySteal(r.workerShard[worker])
 }
 
-// stealForWorker is the concurrent idle path: spin briefly watching for
-// local work (lock-free: the intake ring's producer tail plus this shard's
-// own nready), then run one bounded steal round. The caller holds no locks
-// and re-checks local dispatch afterwards either way.
+// stealForWorker is the concurrent idle path: spin briefly watching this
+// shard's nready for local work (every admission bumps it under the shard
+// lock), then run one bounded steal round. The caller holds no locks and
+// re-checks local dispatch afterwards either way.
 func (r *Runtime) stealForWorker(sh *shard) bool {
-	tail := sh.intake.tailSnapshot()
 	for i := 0; i < stealSpinIters; i++ {
-		if sh.intake.tailSnapshot() != tail || sh.nready.Load() > 0 {
+		if sh.nready.Load() > 0 {
 			return false // local work arrived; dispatch it instead of stealing
 		}
 	}
@@ -149,21 +148,15 @@ func (r *Runtime) trySteal(thief *shard) bool {
 func (r *Runtime) stealFrom(victim, thief *shard) bool {
 	lockPair(victim, thief)
 	now := r.clock.Now()
-	postV := postActions{sh: victim}
-	postT := postActions{sh: thief}
-	// Drain the victim's intake first: ring items predate anything the
-	// runnable-set scan below sees, and absorbing them both preserves the
-	// per-producer FIFO the sweep after the transfer relies on and may
-	// surface a fresher (higher-surplus) candidate.
-	victim.drainLocked(now, &postV)
 	var best *Tenant
 	var bestSurplus float64
-	for th, tn := range victim.byThread {
-		// Steal eligibility is migration eligibility: mid-slice, detached,
-		// closing tenants and those with blocked submitters are pinned.
-		if !tn.inSched || tn.closing || tn.gone || th.Running() || tn.detached || tn.waiters > 0 {
+	for _, tn := range victim.ready {
+		// Steal eligibility is migration eligibility: ready tenants that are
+		// closing or have blocked submitters are pinned.
+		if tn.closing || tn.waiters > 0 {
 			continue
 		}
+		th := tn.th
 		surplus := victim.eng.Surplus(th)
 		// Highest surplus wins — the re-entry costs it the least (§2.3: the
 		// wakeup rule forgives lead, never debt). Ties, and the whole scan
@@ -176,8 +169,6 @@ func (r *Runtime) stealFrom(victim, thief *shard) bool {
 	}
 	if best == nil {
 		unlockPair(victim, thief)
-		postV.run(r)
-		postT.run(r)
 		return false
 	}
 	// Steal latency: how long the stolen tenant sat ready on the victim —
@@ -191,23 +182,19 @@ func (r *Runtime) stealFrom(victim, thief *shard) bool {
 	victim.stolen++
 	thief.steals++
 	r.steals.Add(1)
-	// Sweep the victim's ring for items published against the old binding
-	// while the transfer rebound it (same protocol as migrate's sweep).
-	r.sweepIntakeLocked(victim, thief, now, &postV, &postT)
 	unlockPair(victim, thief)
-	postV.run(r)
-	postT.run(r)
 	return true
 }
 
 // offerSteal routes one shard's surplus wakeups to an idle sibling: called
-// off-lock by postActions.run when a drain admitted more tenants than the
-// shard has parked workers, it signals the workCond of the first sibling
-// advertising idle workers. Signaling a sync.Cond without holding its mutex
-// is legal; the woken worker re-checks local work under its own lock, finds
-// none, and re-enters the steal path with the offering shard now the argmax
-// victim. At most one sibling is woken per offer — the steal itself moves
-// only one tenant, and the next drain re-offers if surplus remains.
+// off-lock by postActions.run when a submit woke a tenant on a shard with no
+// parked worker, or a dispatch left ready tenants behind, it signals the
+// workCond of the first sibling advertising idle workers. Signaling a
+// sync.Cond without holding its mutex is legal; the woken worker re-checks
+// local work under its own lock, finds none, and re-enters the steal path
+// with the offering shard now the argmax victim. At most one sibling is woken
+// per offer — the steal itself moves only one tenant, and the next wakeup or
+// dispatch re-offers if surplus remains.
 func (r *Runtime) offerSteal(sh *shard) {
 	for _, sib := range r.shards {
 		if sib == sh {

@@ -65,11 +65,10 @@ type Preempter interface {
 // BatchAdder admits several newly woken threads in one call: equivalent to
 // calling Add for each element of ts in order at the same instant, but
 // allowing the policy to run whole-set bookkeeping (weight readjustment,
-// surplus refreshes) once per batch instead of once per thread. The sharded
-// runtime's intake drain uses it so that N wakeups absorbed under one lock
-// acquisition cost one readjustment pass; policies without the capability
-// are admitted with N ordinary Adds and differ only in constant factors,
-// never in the resulting runnable set.
+// surplus refreshes) once per batch instead of once per thread, so N
+// wakeups admitted at one instant (engine.AdmitBatch) cost one readjustment
+// pass; policies without the capability are admitted with N ordinary Adds
+// and differ only in constant factors, never in the resulting runnable set.
 type BatchAdder interface {
 	// AddBatch makes every thread of ts runnable at now, as Add would one
 	// by one. ts must not contain duplicates or already-managed threads;
