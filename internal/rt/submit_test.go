@@ -6,6 +6,7 @@
 package rt
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -139,32 +140,42 @@ func TestSelfResubmitDoesNotWake(t *testing.T) {
 // side: a steady wakeup regime where every SubmitTask takes the shard lock,
 // checks backpressure and re-admits the tenant to the scheduler, under a
 // Manual runtime so the whole cycle stays on one goroutine.
+//
+// The locked=false/locked=true subtests are the two routes submissions
+// used to take: the default route (formerly a lock-free intake ring) and the
+// opt-in locked baseline. Both are now the one shard-locked admission, so the
+// two cases run the same cycle; they keep their names so the guarantee stays
+// pinned for both former configurations.
 func TestSubmitHotPathZeroAlloc(t *testing.T) {
-	clock := NewFakeClock()
-	r := New(Config{Workers: 1, Quantum: 10 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true})
-	defer r.Close()
-	tn, err := r.Register("zero", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	task := Once(func() {})
-	cycle := func() {
-		if err := tn.SubmitTask(task); err != nil { // wakeup: backlog is empty
-			t.Fatal(err)
-		}
-		d := r.Dispatch(0)
-		clock.Advance(simtime.Millisecond)
-		d.Complete(true) // backlog empty again: tenant blocks
-	}
-	for i := 0; i < 100; i++ {
-		cycle() // warm up free-lists and queue capacity
-	}
-	if n := testing.AllocsPerRun(500, cycle); n != 0 {
-		t.Fatalf("submit hot path allocates %.1f per cycle, want 0", n)
-	}
-	if err := r.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, locked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("locked=%v", locked), func(t *testing.T) {
+			clock := NewFakeClock()
+			r := New(Config{Workers: 1, Quantum: 10 * simtime.Millisecond,
+				Clock: clock, QueueCap: 4, Manual: true})
+			defer r.Close()
+			tn, err := r.Register("zero", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			task := Once(func() {})
+			cycle := func() {
+				if err := tn.SubmitTask(task); err != nil { // wakeup: backlog is empty
+					t.Fatal(err)
+				}
+				d := r.Dispatch(0)
+				clock.Advance(simtime.Millisecond)
+				d.Complete(true) // backlog empty again: tenant blocks
+			}
+			for i := 0; i < 100; i++ {
+				cycle() // warm up free-lists and queue capacity
+			}
+			if n := testing.AllocsPerRun(500, cycle); n != 0 {
+				t.Fatalf("submit hot path allocates %.1f per cycle, want 0", n)
+			}
+			if err := r.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
