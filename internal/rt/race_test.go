@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,6 +95,46 @@ func TestRaceProportionalWallClockShares(t *testing.T) {
 	}
 	if j := r.JainIndex(); j < 0.995 {
 		t.Errorf("Jain index %.4f under steady flood", j)
+	}
+}
+
+// TestWorkersYieldToTimers pins that a saturated pool gives the Go processor
+// back at slice boundaries. With one worker per P and every worker running
+// never-finishing continuation tasks, no P is free for a timer-driven
+// goroutine (this test's sleeps, and likewise the runtime's own enforcer,
+// rebalancer and every submitter) unless the workers yield. Without the
+// yield each wakeup waits for Go's sysmon to preempt a worker, and the
+// median 1 ms sleep overran by about 19 ms on a 2-CPU host. The workers
+// yield after one enforcement tick (1 ms by default) of task time, so a
+// sleep should overrun by about a tick at most.
+func TestWorkersYieldToTimers(t *testing.T) {
+	workers := runtime.GOMAXPROCS(0)
+	r := rt.New(rt.Config{Workers: workers, Quantum: 10 * simtime.Millisecond})
+	defer r.Close()
+	hog := rt.Task(func(simtime.Duration) bool {
+		spin(300 * time.Microsecond)
+		return false // never finishes: the tenant stays backlogged
+	})
+	for i := 0; i < 2*workers; i++ {
+		tn, err := r.Register("hog", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.SubmitTask(hog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const sleeps = 100
+	overruns := make([]time.Duration, 0, sleeps)
+	for i := 0; i < sleeps; i++ {
+		start := time.Now()
+		time.Sleep(time.Millisecond)
+		overruns = append(overruns, time.Since(start)-time.Millisecond)
+	}
+	sort.Slice(overruns, func(i, j int) bool { return overruns[i] < overruns[j] })
+	if med := overruns[sleeps/2]; med >= 5*time.Millisecond {
+		t.Fatalf("median 1 ms sleep overran by %v (p90 %v) beside %d busy workers; want < 5ms",
+			med, overruns[sleeps*9/10], workers)
 	}
 }
 

@@ -61,6 +61,15 @@
 // for what they actually used; SFS is built for variable-length quanta
 // (§2.3), so fairness is preserved, only dispatch latency degrades.
 //
+// Workers share Go processors with everything else in the process. A worker
+// that runs back-to-back slices never blocks, so with one worker per P a
+// goroutine that submits a wakeup, and every timer (the enforcer, the
+// rebalancer, a caller's time.Sleep), would wait for Go's sysmon to preempt
+// a worker, about 10 ms. Each worker therefore calls runtime.Gosched at a
+// slice boundary once it has run one enforcement tick (Config.EnforceTick)
+// of task time since it last yielded or parked. The slice stays open across
+// the yield; DESIGN.md §10 has the measurements.
+//
 // # Determinism hook
 //
 // Config.Manual suppresses the worker pool and the background rebalancer;
@@ -74,6 +83,7 @@ package rt
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -230,7 +240,11 @@ type Config struct {
 	Enforce bool
 	// EnforceTick is the enforcement granularity: the timer-wheel tick, the
 	// interim-charge period, and the bound on how long a flagged
-	// non-cooperating task keeps its lane. 0 means DefaultEnforceTick.
+	// non-cooperating task keeps its lane. It is also every worker's yield
+	// budget, armed or not: after one tick of task time a worker gives its
+	// Go processor back at the next slice boundary, so submitters and the
+	// runtime's own tickers are not left waiting for Go's sysmon. 0 means
+	// DefaultEnforceTick.
 	EnforceTick simtime.Duration
 }
 
@@ -952,11 +966,26 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 // handoff finishes the detached closure, recycles the detached record, and
 // re-enters the pool as a spare, so lanes and goroutines pair up anonymously
 // and no reclaim handshake is needed.
+//
+// A worker gives its Go processor back (runtime.Gosched) once it has spent
+// one enforcement tick of task time inside closures since it last yielded or
+// parked; the package doc says why. The budget counts only closure time,
+// read from the monotonic clock rather than r.clock (a FakeClock in tests)
+// and excluding lock waits, so a flood of no-op tasks yields rarely. The
+// yield happens after the closure returns but before the slice is
+// completed, so the lane stays occupied across it, just as when Go preempts
+// the closure asynchronously.
 func (r *Runtime) worker(slot int, sh *shard, lane int) {
 	defer r.wg.Done()
 	var d *Dispatched
 	var done bool
+	base, tick := time.Now(), r.enforceTick.Std()
+	var budget time.Duration // closure time since the last yield or park
 	for {
+		if budget >= tick {
+			budget = 0
+			runtime.Gosched()
+		}
 		post := postActions{sh: sh}
 		sh.mu.Lock()
 		// One clock read per lock hold: the completion charge and the next
@@ -1003,6 +1032,7 @@ func (r *Runtime) worker(slot int, sh *shard, lane int) {
 					// competing for (and losing) work signals.
 					sh.spareCond.Wait()
 					now = r.clock.Now()
+					budget = 0
 					continue
 				}
 			}
@@ -1051,11 +1081,14 @@ func (r *Runtime) worker(slot int, sh *shard, lane int) {
 			sh.workCond.Wait()
 			sh.idlers.Add(-1)
 			now = r.clock.Now()
+			budget = 0
 			triedSteal = false
 		}
 		sh.mu.Unlock()
 		post.run(r)
+		start := time.Since(base)
 		done = r.runTask(d)
+		budget += time.Since(base) - start
 	}
 }
 

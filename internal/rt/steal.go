@@ -62,7 +62,9 @@ const (
 	// milliseconds of limbo during which the worker neither steals nor
 	// registers as an idler for the offer protocol to wake. A futile spin
 	// costs nanoseconds; catching a local wakeup that lands meanwhile saves
-	// a pointless cross-shard transfer.
+	// a pointless cross-shard transfer. The worker's only yield is at a slice
+	// boundary after a full enforcement tick of task time (Runtime.worker),
+	// never on this idle path.
 	stealSpinIters = 128
 	// stealMaxVictims bounds how many sibling shards one steal round probes:
 	// the argmax victim first, then the next most backlogged, so transient
