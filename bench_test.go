@@ -348,3 +348,40 @@ func BenchmarkExtensionHierarchy(b *testing.B) {
 		t.CPU = sched.NoCPU
 	}
 }
+
+// BenchmarkExtensionHierarchyChurn measures the hierarchical scheduler's
+// block/wakeup path: each iteration removes one of n runnable threads and
+// re-admits it, so every operation re-runs the water-fill for its class and
+// repositions the class-mates whose φ changed.
+func BenchmarkExtensionHierarchyChurn(b *testing.B) {
+	for _, n := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			h := hier.New(4, 10*simtime.Millisecond)
+			classes := []*hier.Class{
+				h.MustAddClass("a", 4),
+				h.MustAddClass("b", 2),
+				h.MustAddClass("c", 1),
+			}
+			ts := make([]*sched.Thread, n)
+			for i := range ts {
+				ts[i] = mkThread(i+1, float64(1+i%5))
+				h.Assign(ts[i], classes[i%3])
+				if err := h.Add(ts[i], 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := ts[i%n]
+				t.State = sched.Blocked
+				if err := h.Remove(t, 0); err != nil {
+					b.Fatal(err)
+				}
+				t.State = sched.Runnable
+				if err := h.Add(t, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

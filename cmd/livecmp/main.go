@@ -56,6 +56,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -177,6 +178,14 @@ func main() {
 		fmt.Println()
 		fmt.Print(experiments.ClusterFairnessTable(results))
 		return
+	}
+	poolSize := *workers
+	if poolSize <= 0 {
+		poolSize = runtime.GOMAXPROCS(0)
+	}
+	if *shards > poolSize {
+		fmt.Fprintf(os.Stderr, "livecmp: -shards %d needs at least as many workers, got %d\n", *shards, poolSize)
+		os.Exit(2)
 	}
 	if *latency {
 		mode := ""

@@ -44,6 +44,14 @@ func main() {
 	}
 	quantum := simtime.Duration(quantumArg.Microseconds())
 	horizon := simtime.Time(durArg.Microseconds())
+	if *cpus < 1 {
+		fmt.Fprintf(os.Stderr, "sfsim: -cpus must be at least 1, got %d\n", *cpus)
+		os.Exit(2)
+	}
+	if quantum <= 0 {
+		fmt.Fprintf(os.Stderr, "sfsim: -quantum must be at least 1µs, got %v\n", *quantumArg)
+		os.Exit(2)
+	}
 
 	s, err := experiments.NewScheduler(experiments.Kind(*schedName), *cpus, quantum)
 	if err != nil {

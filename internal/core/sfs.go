@@ -52,7 +52,9 @@
 // configurable margin of the minimum, the scheduler prefers one that last ran
 // on the dispatching CPU, trading a bounded amount of short-term fairness for
 // cache locality. WithoutReadjustment disables weight readjustment for
-// ablation experiments that isolate its contribution.
+// ablation experiments that isolate its contribution. WithPhiSource replaces
+// Figure 2 with another φ computation over the same queues: the hierarchical
+// scheduler (internal/hier) is this scheduler with φ taken from a class tree.
 package core
 
 import (
@@ -105,8 +107,6 @@ type SFS struct {
 	scanLimit   int  // pick scan length that triggers a refresh
 	needRefresh bool // set by an over-long pick scan, consumed by Charge
 
-	useReadjust bool
-
 	// Heuristic mode (§3.2): examine only the first k threads of each
 	// queue; refresh stored surpluses every updatePeriod decisions.
 	k            int
@@ -125,7 +125,8 @@ type SFS struct {
 	rebaseThresh fixedpoint.Value
 	fxSlack      float64 // truncation allowance for the pick-scan bound
 
-	affinityMargin float64 // <0 disables the affinity extension
+	affinityMargin float64   // <0 disables the affinity extension
+	phis           PhiSource // φ source replacing Figure 2; nil: weights assigns φ
 
 	stats Stats
 }
@@ -133,9 +134,14 @@ type SFS struct {
 // Option configures an SFS instance.
 type Option func(*SFS)
 
-// WithQuantum sets the maximum quantum granted per dispatch.
+// WithQuantum sets the maximum quantum granted per dispatch; q <= 0 keeps
+// DefaultQuantum.
 func WithQuantum(q simtime.Duration) Option {
-	return func(s *SFS) { s.quantum = q }
+	return func(s *SFS) {
+		if q > 0 {
+			s.quantum = q
+		}
+	}
 }
 
 // WithHeuristic enables the bounded-examination heuristic, inspecting the
@@ -184,12 +190,38 @@ func WithAffinity(margin float64) Option {
 // WithoutReadjustment disables the weight readjustment algorithm (φ_i = w_i
 // always); used by ablation experiments only.
 func WithoutReadjustment() Option {
-	return func(s *SFS) { s.useReadjust = false }
+	return func(s *SFS) { s.weights = phi.NewTracker(s.p, false) }
 }
 
-// New returns an SFS scheduler for p processors. It panics if p < 1; the
-// processor count comes from static machine configuration, never from user
-// input.
+// PhiSource computes the instantaneous weights φ of the runnable set in place
+// of Figure 2. The weight queue still tracks the runnable set, with φ_i = w_i,
+// and the scheduler calls the source after each change to it: Join after t
+// became runnable, Leave after t stopped being runnable, Reweight after t's
+// weight changed. The source then assigns φ to every thread whose rate
+// changed and passes each one to the function registered with OnPhiChange.
+// Join and Leave report whether any φ changed.
+type PhiSource interface {
+	OnPhiChange(fn func(*sched.Thread))
+	Join(t *sched.Thread) bool
+	Leave(t *sched.Thread) bool
+	Reweight(t *sched.Thread)
+	// MaxPhi bounds every runnable thread's φ, for the exact pick scan's
+	// drift bound. Figure 2 never raises a weight, so without a source the
+	// heaviest requested weight is the bound.
+	MaxPhi() float64
+}
+
+// WithPhiSource takes every runnable thread's φ from src instead of from
+// Figure 2's readjustment.
+func WithPhiSource(src PhiSource) Option {
+	return func(s *SFS) {
+		s.weights = phi.NewTracker(s.p, false)
+		s.phis = src
+	}
+}
+
+// New returns an SFS scheduler for p processors. It panics if p < 1; callers
+// validate processor counts that come from user input.
 func New(p int, opts ...Option) *SFS {
 	if p < 1 {
 		panic(fmt.Sprintf("core: invalid processor count %d", p))
@@ -197,7 +229,7 @@ func New(p int, opts ...Option) *SFS {
 	s := &SFS{
 		p:              p,
 		quantum:        DefaultQuantum,
-		useReadjust:    true,
+		weights:        phi.NewTracker(p, true),
 		updatePeriod:   50,
 		scanLimit:      32,
 		rebaseThresh:   fixedpoint.WrapThreshold,
@@ -218,11 +250,10 @@ func New(p int, opts ...Option) *SFS {
 	for _, o := range opts {
 		o(s)
 	}
-	s.weights = phi.NewTracker(p, s.useReadjust)
 	// φ changes arrive thread-by-thread from the readjustment pass; keep
 	// the derived state (FxPhi cache, stored surplus, queue position) of
 	// each affected thread current instead of sweeping the whole set.
-	s.weights.OnPhiChange(func(t *sched.Thread) {
+	onPhi := func(t *sched.Thread) {
 		if s.fixed {
 			t.FxPhi = s.scale.FromFloat(t.Phi)
 		}
@@ -230,7 +261,11 @@ func New(p int, opts ...Option) *SFS {
 			s.storeSurplus(t)
 			s.bySurplus.Fix(t)
 		}
-	})
+	}
+	s.weights.OnPhiChange(onPhi)
+	if s.phis != nil {
+		s.phis.OnPhiChange(onPhi)
+	}
 	return s
 }
 
@@ -241,7 +276,6 @@ var (
 	_ sched.LagReporter     = (*SFS)(nil)
 	_ sched.FrameTranslator = (*SFS)(nil)
 	_ sched.Preempter       = (*SFS)(nil)
-	_ sched.BatchAdder      = (*SFS)(nil)
 )
 
 // Name implements sched.Scheduler.
@@ -261,28 +295,6 @@ func (s *SFS) Runnable() int { return s.byStart.Len() }
 // VirtualTime returns the scheduler's current virtual time v (minimum start
 // tag over runnable threads).
 func (s *SFS) VirtualTime() float64 { return s.v }
-
-// Snapshot is an O(1) summary of the runnable set, exported for the sharded
-// runtime (internal/rt): enough to measure a shard's load and to anchor
-// per-thread fresh-surplus computations without walking any queue.
-type Snapshot struct {
-	// Runnable is the number of runnable threads (including running).
-	Runnable int
-	// WeightSum is Σ w_i over the runnable set (requested weights, the
-	// quantity the shard rebalancer equalizes per processor).
-	WeightSum float64
-	// VirtualTime is v, the minimum start tag over runnable threads.
-	VirtualTime float64
-}
-
-// Snapshot returns the current O(1) runnable-set summary.
-func (s *SFS) Snapshot() Snapshot {
-	return Snapshot{
-		Runnable:    s.byStart.Len(),
-		WeightSum:   s.weights.Sum(),
-		VirtualTime: s.v,
-	}
-}
 
 // FreshSurplus returns t's surplus α_i = φ_i·(S_i − v) against the current
 // virtual time, in the arithmetic (float or fixed) a full refresh would use.
@@ -328,18 +340,6 @@ func (s *SFS) Stats() Stats {
 // Quantum returns the configured maximum quantum.
 func (s *SFS) Quantum() simtime.Duration { return s.quantum }
 
-// SetCapacity changes the CPU capacity the feasibility constraint is
-// evaluated against. A flat scheduler's capacity is its processor count (the
-// default); the hierarchical scheduler (internal/hier) sets each class's
-// inner capacity to the fractional number of CPUs the class is entitled to,
-// so that intra-class readjustment caps threads at one *physical* CPU out of
-// the class's allocation.
-func (s *SFS) SetCapacity(c float64) {
-	if s.weights.SetCapacity(c) && s.k > 0 {
-		s.refreshSurpluses()
-	}
-}
-
 // Add implements sched.Scheduler. A newly arriving thread receives start tag
 // v; a newly woken thread receives max(F_i, v), which prevents a thread from
 // banking credit while asleep and starving others on wakeup (§2.3).
@@ -369,6 +369,9 @@ func (s *SFS) Add(t *sched.Thread, now simtime.Time) error {
 		t.Start = math.Max(t.Finish, s.v)
 	}
 	changed := s.weights.Add(t)
+	if s.phis != nil {
+		changed = s.phis.Join(t)
+	}
 	s.byStart.Push(t)
 	// Adding a thread cannot lower v (its start tag is >= v), so only φ
 	// changes require updating other threads' surpluses — and in exact
@@ -382,65 +385,6 @@ func (s *SFS) Add(t *sched.Thread, now simtime.Time) error {
 	return nil
 }
 
-// AddBatch implements sched.BatchAdder: admit a batch of newly woken threads
-// at one instant, equivalent to calling Add for each element of ts in order
-// but with the weight-readjustment pass — and, in heuristic mode, the global
-// surplus refresh a φ change forces — run once for the whole batch, so N
-// simultaneous wakeups cost one Figure-2 pass.
-//
-// Equivalence with sequential Adds holds because φ values are a pure
-// function of the final runnable set (Figure 2 has no history), each
-// thread's wakeup tag max(F_i, v) is unaffected by the other admissions
-// (adding a thread can never lower v, and v is recomputed after every
-// insertion exactly as the sequential path would), and the deferred
-// readjustment's φ hook re-stores the surplus of every thread whose φ
-// changed — exactly the state N per-Add passes would have left behind.
-// TestAddBatchEquivalence locks this in across the exact, fixed-point and
-// heuristic variants.
-func (s *SFS) AddBatch(ts []*sched.Thread, now simtime.Time) error {
-	// Validate the whole batch up front (including intra-batch duplicates)
-	// so that an error leaves the runnable set untouched.
-	for i, t := range ts {
-		if !sched.ValidWeight(t.Weight) {
-			return fmt.Errorf("%w: %g", sched.ErrBadWeight, t.Weight)
-		}
-		if s.byStart.Contains(t) {
-			return fmt.Errorf("%w: %v", sched.ErrAlreadyManaged, t)
-		}
-		for _, u := range ts[:i] {
-			if u == t {
-				return fmt.Errorf("%w: %v (duplicate in batch)", sched.ErrAlreadyManaged, t)
-			}
-		}
-	}
-	for _, t := range ts {
-		if s.fixed {
-			if delta := s.fxShift - t.FxShift; delta != 0 {
-				t.FxFinish -= delta
-				t.Finish = s.scale.Float(t.FxFinish)
-				t.FxShift = s.fxShift
-			}
-			if t.FxFinish > s.fxV {
-				t.FxStart = t.FxFinish
-			} else {
-				t.FxStart = s.fxV
-			}
-			t.Start = s.scale.Float(t.FxStart)
-		} else {
-			t.Start = math.Max(t.Finish, s.v)
-		}
-		s.weights.AddDeferred(t)
-		s.byStart.Push(t)
-		s.recomputeV()
-		s.storeSurplus(t)
-		s.bySurplus.Push(t)
-	}
-	if s.weights.Readjust() && s.k > 0 {
-		s.refreshSurpluses()
-	}
-	return nil
-}
-
 // Remove implements sched.Scheduler; called when a thread blocks or exits.
 func (s *SFS) Remove(t *sched.Thread, now simtime.Time) error {
 	if !s.byStart.Contains(t) {
@@ -449,6 +393,9 @@ func (s *SFS) Remove(t *sched.Thread, now simtime.Time) error {
 	s.byStart.Remove(t)
 	s.bySurplus.Remove(t)
 	changed := s.weights.Remove(t)
+	if s.phis != nil {
+		changed = s.phis.Leave(t)
+	}
 	vChanged := s.recomputeV()
 	// Stored surpluses are relative to vRef, not v, so a v change alone
 	// invalidates nothing in exact mode; φ changes were handled by the
@@ -545,6 +492,9 @@ func (s *SFS) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
 		return nil
 	}
 	s.weights.UpdateWeight(t, w)
+	if s.phis != nil {
+		s.phis.Reweight(t)
+	}
 	// φ changed for t (and possibly others): in exact mode the hook has
 	// restored every affected thread; heuristic mode refreshes globally.
 	if s.k > 0 {
@@ -593,8 +543,7 @@ func betterPick(fresh float64, t *sched.Thread, bestS float64, best *sched.Threa
 }
 
 // surplusHeapLess is the surplus queue's order: ascending stored surplus,
-// then descending weight, then ID. internal/hier shares it via
-// SurplusQueueLess.
+// then descending weight, then ID.
 func surplusHeapLess(a, b *sched.Thread) bool {
 	if a.Surplus != b.Surplus {
 		return a.Surplus < b.Surplus
@@ -605,30 +554,11 @@ func surplusHeapLess(a, b *sched.Thread) bool {
 	return a.ID < b.ID
 }
 
-// SurplusQueueLess exports the surplus queue order for schedulers that reuse
-// the lazy-surplus pick mechanism (internal/hier). Any heap ordered by it
-// may be pruned with it during no-drift picks.
-func SurplusQueueLess(a, b *sched.Thread) bool { return surplusHeapLess(a, b) }
-
-// driftBound returns the pick-scan prune bound φ_max·|v−vRef| and its
-// conservative slack for the current drift, given the largest possible
-// instantaneous weight wmax. Both pickExact and MinSurplusAll prune with
-// exactly these values; keeping them in one place keeps the two scans
-// equally conservative.
-func (s *SFS) driftBound(wmax float64) (bound, slack float64) {
-	drift := s.v - s.vRef
-	if drift < 0 {
-		drift = -drift
-	}
-	bound = wmax * drift
-	slack = 1e-12*(bound+wmax*(math.Abs(s.v)+math.Abs(s.vRef))+1) + s.fxSlack
-	return bound, slack
-}
-
 // pickExact returns the non-running thread with the least fresh surplus via
 // a pruned traversal of the surplus heap. Stored surpluses are relative to
-// vRef; since every φ_i is at most the heaviest requested weight, a fresh
-// surplus can sit below its stored value by at most w_max·(v−vRef), so a
+// vRef; since every φ_i is at most φ_max (the heaviest requested weight, or
+// the φ source's MaxPhi), a fresh surplus can sit below its stored value by
+// at most φ_max·|v−vRef|, so a
 // subtree whose root's stored surplus exceeds the incumbent by more than
 // that bound (plus the affinity margin, within which the extension may
 // promote a thread that last ran on this CPU) cannot contain the answer.
@@ -646,11 +576,14 @@ func (s *SFS) pickExact(cpu int) *sched.Thread {
 	noDrift := s.noDrift()
 	var bound, slack float64
 	if !noDrift {
-		var wmax float64
-		if h, ok := s.weights.Heaviest(); ok {
-			wmax = h.Weight
+		var phiMax float64
+		if s.phis != nil {
+			phiMax = s.phis.MaxPhi()
+		} else if h, ok := s.weights.Heaviest(); ok {
+			phiMax = h.Weight
 		}
-		bound, slack = s.driftBound(wmax)
+		bound = phiMax * math.Abs(s.v-s.vRef)
+		slack = 1e-12*(bound+phiMax*(math.Abs(s.v)+math.Abs(s.vRef))+1) + s.fxSlack
 	}
 	var best, bestAff *sched.Thread
 	var bestS, bestAffS float64
@@ -762,58 +695,6 @@ func (s *SFS) pickHeuristic(cpu int) *sched.Thread {
 		s.stats.HeuristicHits++
 	}
 	return best
-}
-
-// MinSurplusAll returns the minimum fresh surplus over all runnable threads
-// including those currently running, or 0 when nothing is runnable. The
-// hierarchical scheduler uses it to detect forced picks: an eligible thread
-// whose surplus exceeds this minimum is only being offered because the truly
-// deserving thread already occupies a CPU.
-func (s *SFS) MinSurplusAll() float64 {
-	if s.byStart.Len() == 0 {
-		return 0
-	}
-	if s.k > 0 {
-		// Heuristic mode: stored surpluses carry mixed epochs, so the
-		// drift bound does not apply; scan everything.
-		min := math.Inf(1)
-		s.byStart.Each(func(t *sched.Thread) bool {
-			if fresh := t.Phi * (t.Start - s.v); fresh < min {
-				min = fresh
-			}
-			return true
-		})
-		return min
-	}
-	if s.noDrift() {
-		// Stored surpluses are fresh; running threads count, so the heap
-		// minimum is the answer.
-		head, _ := s.bySurplus.Min()
-		return head.Surplus
-	}
-	var wmax float64
-	if h, ok := s.weights.Heaviest(); ok {
-		wmax = h.Weight
-	}
-	bound, slack := s.driftBound(wmax)
-	min := math.Inf(1)
-	cut := math.Inf(1)
-	scanned := 0
-	s.bySurplus.EachUnder(func(t *sched.Thread) bool {
-		if t.Surplus > cut {
-			return false
-		}
-		scanned++
-		if fresh := s.freshSurplus(t); fresh < min {
-			min = fresh
-			cut = min + bound + slack + 1e-12*math.Abs(min)
-		}
-		return true
-	})
-	if scanned > s.scanLimit {
-		s.needRefresh = true
-	}
-	return min
 }
 
 // ExactMinSurplus returns the runnable non-running thread with the smallest

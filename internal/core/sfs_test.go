@@ -666,52 +666,6 @@ func TestThreadsSnapshot(t *testing.T) {
 	}
 }
 
-func TestSetCapacityFractional(t *testing.T) {
-	// Fractional capacity: the generalization internal/hier is built on.
-	// Capacity 1.33 with weights 4:1 caps the heavy thread at one CPU's
-	// worth: φ = suffix/(cap-1) = 1/0.33 = 3.
-	s := New(1, WithQuantum(10*simtime.Millisecond))
-	s.SetCapacity(4.0 / 3)
-	big := mkThread(1, 4)
-	small := mkThread(2, 1)
-	if err := s.Add(big, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(small, 0); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(big.Phi-3) > 1e-9 || small.Phi != 1 {
-		t.Fatalf("φ = %g, %g; want 3, 1", big.Phi, small.Phi)
-	}
-	runQuanta(t, s, 1, 4000, 10*simtime.Millisecond)
-	ratio := big.Service.Seconds() / small.Service.Seconds()
-	if math.Abs(ratio-3) > 0.1 {
-		t.Fatalf("service ratio %.3f, want ~3", ratio)
-	}
-}
-
-func TestMinSurplusAll(t *testing.T) {
-	s := New(2)
-	if got := s.MinSurplusAll(); got != 0 {
-		t.Fatalf("empty scheduler min surplus %g", got)
-	}
-	a := mkThread(1, 1)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	s.Charge(a, 100*simtime.Millisecond, 0)
-	// b holds the minimum (0); marking it running must not hide it from
-	// MinSurplusAll (unlike Pick).
-	b.CPU = 0
-	if got := s.MinSurplusAll(); got != 0 {
-		t.Fatalf("min surplus %g, want 0 (running thread counts)", got)
-	}
-}
-
 func TestExactMinSurplus(t *testing.T) {
 	s := New(2)
 	if th, _ := s.ExactMinSurplus(); th != nil {
@@ -752,29 +706,6 @@ func TestLessOrdersBySurplus(t *testing.T) {
 	if !s.Less(b, a) || s.Less(a, b) {
 		t.Fatal("Less must order by fresh surplus")
 	}
-}
-
-func TestSetCapacityRevertsToProcessorCount(t *testing.T) {
-	s := New(2)
-	a := mkThread(1, 1)
-	b := mkThread(2, 10)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	if b.Phi != 1 {
-		t.Fatalf("φ = %g", b.Phi)
-	}
-	// Raising capacity to 11 makes 1:10 feasible again (n<=cap rule gives
-	// equal full-CPU rates... n=2 <= 11, so both get min weight).
-	s.SetCapacity(11)
-	if a.Phi != b.Phi {
-		t.Fatalf("n<=cap must equalize: %g vs %g", a.Phi, b.Phi)
-	}
-	// And setting the same capacity is a no-op (covered branch).
-	s.SetCapacity(11)
 }
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
@@ -821,5 +752,18 @@ func TestFixedPointWraparoundLongRun(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWithQuantumNonPositiveKeepsDefault: a zero or negative quantum would
+// grant non-positive timeslices, so WithQuantum ignores it.
+func TestWithQuantumNonPositiveKeepsDefault(t *testing.T) {
+	for _, q := range []simtime.Duration{0, -5 * simtime.Millisecond} {
+		if got := New(2, WithQuantum(q)).Quantum(); got != DefaultQuantum {
+			t.Fatalf("WithQuantum(%v): quantum %v, want %v", q, got, DefaultQuantum)
+		}
+	}
+	if got := New(2, WithQuantum(7*simtime.Millisecond)).Quantum(); got != 7*simtime.Millisecond {
+		t.Fatalf("WithQuantum(7ms): quantum %v", got)
 	}
 }

@@ -1,30 +1,31 @@
-// TestAddBatchEquivalence locks in the claim AddBatch's doc comment makes:
-// admitting a wakeup batch with one deferred readjustment pass leaves the
-// scheduler in exactly the state N sequential Adds would have, across the
-// exact, fixed-point and heuristic variants. Two schedulers replay an
-// identical pre-history (admissions, pick/charge cycles, blocks), then one
-// admits the wakeup batch thread by thread while the other uses AddBatch;
-// every per-thread tag and the subsequent pick sequence must match.
+package engine_test
 
-package core
+// TestAdmitBatchEquivalence locks in AdmitBatch's contract: admitting a
+// wakeup batch leaves the scheduler in exactly the state N sequential Adds
+// would have, across SFS's exact, fixed-point and heuristic variants. Two
+// schedulers replay an identical pre-history (admissions, pick/charge
+// cycles, blocks), then one admits the wakeup batch thread by thread while
+// the other goes through engine.AdmitBatch; every per-thread tag and the
+// subsequent pick sequence must match.
 
 import (
-	"errors"
 	"testing"
 
+	"sfsched/internal/core"
+	"sfsched/internal/engine"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
 
-func TestAddBatchEquivalence(t *testing.T) {
+func TestAdmitBatchEquivalence(t *testing.T) {
 	variants := []struct {
 		name string
-		opts []Option
+		opts []core.Option
 	}{
 		{"exact", nil},
-		{"fixed", []Option{WithFixedPoint(4)}},
-		{"heuristic", []Option{WithHeuristic(20)}},
-		{"heuristic_fixed", []Option{WithHeuristic(20), WithFixedPoint(4)}},
+		{"fixed", []core.Option{core.WithFixedPoint(4)}},
+		{"heuristic", []core.Option{core.WithHeuristic(20)}},
+		{"heuristic_fixed", []core.Option{core.WithHeuristic(20), core.WithFixedPoint(4)}},
 	}
 	// Weights spread over two orders of magnitude so the batch admission
 	// triggers Figure-2 readjustment (φ != w) on the high-weight threads.
@@ -34,10 +35,10 @@ func TestAddBatchEquivalence(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			const p = 2
 			q := 10 * simtime.Millisecond
-			seq := New(p, v.opts...) // admits the batch with N Adds
-			bat := New(p, v.opts...) // admits the batch with one AddBatch
+			seq := core.New(p, v.opts...) // admits the batch with N Adds
+			bat := core.New(p, v.opts...) // admits the batch with one AdmitBatch
 			mk := func(i int) [2]*sched.Thread {
-				return [2]*sched.Thread{mkThread(i, weights[i]), mkThread(i, weights[i])}
+				return [2]*sched.Thread{newThread(i, weights[i]), newThread(i, weights[i])}
 			}
 			threads := make([][2]*sched.Thread, len(weights))
 			for i := range threads {
@@ -118,7 +119,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 			for j, i := range batch {
 				bs[j] = threads[i][1]
 			}
-			if err := bat.AddBatch(bs, now); err != nil {
+			if err := engine.New(bat).AdmitBatch(bs, now); err != nil {
 				t.Fatal(err)
 			}
 
@@ -147,40 +148,5 @@ func TestAddBatchEquivalence(t *testing.T) {
 				t.Fatalf("batch scheduler: %v", err)
 			}
 		})
-	}
-}
-
-// TestAddBatchValidation pins the all-or-nothing contract: a batch with a
-// duplicate or an already-managed thread is rejected up front and leaves the
-// runnable set untouched.
-func TestAddBatchValidation(t *testing.T) {
-	s := New(2)
-	managed := mkThread(1, 1)
-	if err := s.Add(managed, 0); err != nil {
-		t.Fatal(err)
-	}
-	fresh := mkThread(2, 1)
-	dup := mkThread(3, 1)
-
-	if err := s.AddBatch([]*sched.Thread{fresh, managed}, 0); !errors.Is(err, sched.ErrAlreadyManaged) {
-		t.Fatalf("already-managed batch: err = %v, want ErrAlreadyManaged", err)
-	}
-	if err := s.AddBatch([]*sched.Thread{fresh, dup, dup}, 0); !errors.Is(err, sched.ErrAlreadyManaged) {
-		t.Fatalf("duplicate batch: err = %v, want ErrAlreadyManaged", err)
-	}
-	if err := s.AddBatch([]*sched.Thread{fresh, mkThread(4, -1)}, 0); !errors.Is(err, sched.ErrBadWeight) {
-		t.Fatalf("bad-weight batch: err = %v, want ErrBadWeight", err)
-	}
-	// None of the rejected batches may have leaked a thread in: only the
-	// originally managed thread is runnable.
-	if got := s.Pick(0, 0); got != managed {
-		t.Fatalf("Pick = %v, want the pre-existing thread", got)
-	}
-	managed.CPU = 0
-	if got := s.Pick(1, 0); got != nil {
-		t.Fatalf("second Pick = %v, want nil (rejected batches must not leak threads)", got)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,7 +10,7 @@
 //
 // The engine is policy-agnostic: it wraps one sched.Scheduler instance plus
 // its optional capability views (sched.VirtualTimer, LagReporter,
-// FrameTranslator, Preempter, BatchAdder, InterimCharger), discovered once at
+// FrameTranslator, Preempter, InterimCharger), discovered once at
 // construction and never re-asserted on a hot path. It owns no clock — every
 // method takes the driver's current instant, which is how one core serves an
 // event-heap simulator and a wall-clock shard without caring which is
@@ -108,7 +108,6 @@ type Engine struct {
 	Lag     sched.LagReporter     // fresh surpluses, for migration/steal ranking
 	Frame   sched.FrameTranslator // virtual-time frame leads, for cross-instance moves
 	Pre     sched.Preempter       // wakeup-preemption ranking
-	Batch   sched.BatchAdder      // batched wakeup admission
 	Interim sched.InterimCharger  // mid-slice charge installments
 
 	rec Recorder
@@ -121,7 +120,6 @@ func New(sch sched.Scheduler) *Engine {
 	e.Lag, _ = sch.(sched.LagReporter)
 	e.Frame, _ = sch.(sched.FrameTranslator)
 	e.Pre, _ = sch.(sched.Preempter)
-	e.Batch, _ = sch.(sched.BatchAdder)
 	e.Interim, _ = sch.(sched.InterimCharger)
 	return e
 }
@@ -184,26 +182,12 @@ func (e *Engine) Admit(t *sched.Thread, now simtime.Time) error {
 	return nil
 }
 
-// AdmitBatch admits several threads at one instant: one readjustment pass via
-// sched.BatchAdder when the policy has it, sequential Adds otherwise.
+// AdmitBatch admits several threads at one instant, in order, stopping at the
+// first error.
 func (e *Engine) AdmitBatch(ts []*sched.Thread, now simtime.Time) error {
 	for _, t := range ts {
-		t.State = sched.Runnable
-	}
-	if e.Batch != nil {
-		if err := e.Batch.AddBatch(ts, now); err != nil {
+		if err := e.Admit(t, now); err != nil {
 			return err
-		}
-	} else {
-		for _, t := range ts {
-			if err := e.sch.Add(t, now); err != nil {
-				return err
-			}
-		}
-	}
-	if e.rec != nil {
-		for _, t := range ts {
-			e.rec.Record(Event{Kind: KindAdmit, ID: t.ID, CPU: sched.NoCPU, Now: now})
 		}
 	}
 	return nil

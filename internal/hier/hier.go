@@ -32,21 +32,21 @@
 // by construction the hierarchical GMS allocation. Figure 2's readjustment
 // is the special case of this tree with every thread in its own class.
 //
-// The Charge/Pick hot loop uses the same lazy-surplus scheme as
-// internal/core (stored surpluses against a vRef epoch, drift-bounded exact
-// pick scans, refresh only when scans grow long), and the readjustment pass
-// reuses scratch buffers and skips classes whose rate and membership are
-// unchanged since the previous pass — on a class-partitioned workload the
-// common arrival/departure only recomputes the affected class.
+// That queue is core.SFS itself: a Hier is a core.SFS whose φ values come
+// from this package's nested water-fill (core.WithPhiSource) instead of
+// Figure 2, so tags, virtual time, the lazy-surplus pick and every
+// capability view are core's. The water-fill reuses scratch buffers and
+// skips classes whose rate and membership are unchanged since the previous
+// pass — on a class-partitioned workload the common arrival/departure only
+// recomputes the affected class — and hands core only the threads whose φ
+// changed.
 package hier
 
 import (
 	"fmt"
-	"math"
 
 	"sfsched/internal/core"
 	"sfsched/internal/readjust"
-	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
@@ -78,28 +78,17 @@ func (c *Class) Rate() float64 { return c.phi }
 // far, in seconds.
 func (c *Class) Service() float64 { return c.service.Seconds() }
 
-// Hier is a two-level hierarchical SFS scheduler. Not safe for concurrent
-// use.
+// Hier is a two-level hierarchical SFS scheduler: core.SFS with φ from the
+// class tree. Not safe for concurrent use.
 type Hier struct {
-	p       int
-	quantum simtime.Duration
+	*core.SFS
 	classes []*Class
 	byName  map[string]*Class
 	assign  map[*sched.Thread]*Class
 	def     *Class
 
-	byStart   *runqueue.Heap[*sched.Thread]
-	bySurplus *runqueue.Heap[*sched.Thread]
-	v         float64
-	lastFin   float64
-	decisions int64
-
-	// Lazy-surplus state: stored surpluses are relative to vRef; phiMax
-	// bounds how fast any fresh surplus can fall below its stored value.
-	vRef        float64
-	phiMax      float64
-	scanLimit   int
-	needRefresh bool
+	onPhi  func(*sched.Thread) // core's φ-change hook
+	maxPhi float64             // largest runnable φ after the last pass
 
 	// Readjustment scratch, reused across passes.
 	classFiller  readjust.Filler
@@ -111,30 +100,14 @@ type Hier struct {
 }
 
 // New returns a hierarchical scheduler for p processors with a default
-// class of weight 1 (threads not explicitly assigned go there).
+// class of weight 1 (threads not explicitly assigned go there). A quantum
+// <= 0 selects core.DefaultQuantum.
 func New(p int, quantum simtime.Duration) *Hier {
-	if p < 1 {
-		panic(fmt.Sprintf("hier: invalid processor count %d", p))
-	}
-	if quantum <= 0 {
-		quantum = core.DefaultQuantum
-	}
 	h := &Hier{
-		p:         p,
-		quantum:   quantum,
-		byName:    make(map[string]*Class),
-		assign:    make(map[*sched.Thread]*Class),
-		scanLimit: 32,
+		byName: make(map[string]*Class),
+		assign: make(map[*sched.Thread]*Class),
 	}
-	h.byStart = runqueue.NewHeap(runqueue.SlotPrimary, func(a, b *sched.Thread) bool {
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.ID < b.ID
-	})
-	// Heap order and Pick's no-drift prune must be the same function;
-	// both use core.SurplusQueueLess.
-	h.bySurplus = runqueue.NewHeap(runqueue.SlotSurplus, core.SurplusQueueLess)
+	h.SFS = core.New(p, core.WithQuantum(quantum), core.WithPhiSource((*classRates)(h)))
 	h.def = h.MustAddClass("default", 1)
 	return h
 }
@@ -181,8 +154,7 @@ func (h *Hier) SetClassWeight(c *Class, w float64) error {
 		return fmt.Errorf("%w: %g", sched.ErrBadWeight, w)
 	}
 	c.weight = w
-	h.readjust()
-	h.refreshSurpluses()
+	h.fill()
 	return nil
 }
 
@@ -192,69 +164,53 @@ func (h *Hier) Classes() []*Class { return append([]*Class(nil), h.classes...) }
 // Name implements sched.Scheduler.
 func (h *Hier) Name() string { return "hier-SFS" }
 
-// NumCPU implements sched.Scheduler.
-func (h *Hier) NumCPU() int { return h.p }
-
-// Runnable implements sched.Scheduler.
-func (h *Hier) Runnable() int { return h.byStart.Len() }
-
 // Hier implements the full capability set the sharded runtime can exploit.
+// Class assignment does not travel with a migrating thread: the destination
+// instance schedules it in whatever class its own Assign table names.
 var (
 	_ sched.Scheduler       = (*Hier)(nil)
 	_ sched.VirtualTimer    = (*Hier)(nil)
 	_ sched.LagReporter     = (*Hier)(nil)
 	_ sched.FrameTranslator = (*Hier)(nil)
 	_ sched.Preempter       = (*Hier)(nil)
+	_ sched.InterimCharger  = (*Hier)(nil)
 )
 
-// VirtualTime implements sched.VirtualTimer (minimum start tag over runnable
-// threads).
-func (h *Hier) VirtualTime() float64 { return h.v }
-
-// FreshSurplus implements sched.LagReporter: t's surplus φ_i·(S_i − v)
-// against the current virtual time, with the hierarchical φ.
-func (h *Hier) FreshSurplus(t *sched.Thread) float64 { return t.Phi * (t.Start - h.v) }
-
-// FrameLead implements sched.FrameTranslator: the lead of t's finish tag
-// over the virtual time.
-func (h *Hier) FrameLead(t *sched.Thread) float64 { return t.Finish - h.v }
-
-// SetFrameLead implements sched.FrameTranslator: re-bases t's finish tag to
-// sit lead ahead of this instance's virtual time; the arrival rule
-// S_i = max(F_i, v) then re-admits a migrated thread at its old relative
-// position. Class assignment does not travel: the destination instance
-// schedules the thread in whatever class its own Assign table names.
-func (h *Hier) SetFrameLead(t *sched.Thread, lead float64) { t.Finish = h.v + lead }
-
-// Add implements sched.Scheduler: the flat SFS arrival rule with
-// hierarchical φ.
-func (h *Hier) Add(t *sched.Thread, now simtime.Time) error {
-	if !sched.ValidWeight(t.Weight) {
-		return fmt.Errorf("%w: %g", sched.ErrBadWeight, t.Weight)
-	}
-	if h.byStart.Contains(t) {
-		return fmt.Errorf("%w: %v", sched.ErrAlreadyManaged, t)
-	}
-	c := h.ClassOf(t)
-	t.Start = math.Max(t.Finish, h.v)
-	c.members = append(c.members, t)
-	c.dirty = true
-	h.byStart.Push(t)
-	h.readjust()
-	h.recomputeV()
-	h.storeSurplus(t)
-	h.bySurplus.Push(t)
-	h.refreshSurpluses()
-	return nil
+// Charge implements sched.Scheduler: core's F = S + q/φ with the
+// hierarchical φ, plus the class's service account.
+func (h *Hier) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
+	h.SFS.Charge(t, ran, now)
+	h.ClassOf(t).service += ran
 }
 
-// Remove implements sched.Scheduler.
-func (h *Hier) Remove(t *sched.Thread, now simtime.Time) error {
-	if !h.byStart.Contains(t) {
-		return fmt.Errorf("%w: %v", sched.ErrNotManaged, t)
-	}
-	h.byStart.Remove(t)
-	h.bySurplus.Remove(t)
+// InterimCharge implements sched.InterimCharger by delegating to Charge: the
+// hierarchical tag advance ran/φ is linear in ran, so mid-slice installments
+// compose exactly with the boundary charge for the remainder.
+func (h *Hier) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
+	h.Charge(t, ran, now)
+}
+
+// classRates is the Hier seen as core's φ source. It is a separate type so
+// that Join, Leave and Reweight stay out of Hier's method set.
+type classRates Hier
+
+func (r *classRates) OnPhiChange(fn func(*sched.Thread)) { r.onPhi = fn }
+
+func (r *classRates) MaxPhi() float64 { return r.maxPhi }
+
+// Join adds t to its class's members.
+func (r *classRates) Join(t *sched.Thread) bool {
+	h := (*Hier)(r)
+	c := h.ClassOf(t)
+	c.members = append(c.members, t)
+	c.dirty = true
+	return h.fill()
+}
+
+// Leave drops t from its class's members, and forgets the class assignment
+// of a thread that exited.
+func (r *classRates) Leave(t *sched.Thread) bool {
+	h := (*Hier)(r)
 	c := h.ClassOf(t)
 	for i, m := range c.members {
 		if m == t {
@@ -266,146 +222,25 @@ func (h *Hier) Remove(t *sched.Thread, now simtime.Time) error {
 	if t.State == sched.Exited {
 		delete(h.assign, t)
 	}
-	h.readjust()
-	h.recomputeV()
-	h.refreshSurpluses()
-	return nil
+	return h.fill()
 }
 
-// Charge implements sched.Scheduler: F = S + q/φ with the hierarchical φ.
-// Like internal/core's exact mode, a virtual-time change does not trigger a
-// global surplus refresh: stored surpluses stay on the vRef epoch and Pick
-// compensates for the drift.
-func (h *Hier) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	if ran < 0 {
-		panic("hier: negative charge")
-	}
-	t.Service += ran
-	h.ClassOf(t).service += ran
-	if t.Phi > 0 {
-		t.Finish = t.Start + ran.Seconds()/t.Phi
-		t.Start = t.Finish
-	}
-	h.lastFin = t.Finish
-	if h.byStart.Contains(t) {
-		h.byStart.Fix(t)
-		h.recomputeV()
-		h.storeSurplus(t)
-		h.bySurplus.Fix(t)
-	} else {
-		h.recomputeV()
-	}
-	if h.needRefresh {
-		h.refreshSurpluses()
-	}
-}
-
-// Timeslice implements sched.Scheduler.
-func (h *Hier) Timeslice(t *sched.Thread, now simtime.Time) simtime.Duration {
-	return h.quantum
-}
-
-// SetWeight implements sched.Scheduler (thread weight within its class).
-func (h *Hier) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
-	if !sched.ValidWeight(w) {
-		return fmt.Errorf("%w: %g", sched.ErrBadWeight, w)
-	}
-	t.Weight = w
-	if !h.byStart.Contains(t) {
-		t.Phi = w
-		return nil
-	}
+// Reweight recomputes t's class after t's weight changed.
+func (r *classRates) Reweight(t *sched.Thread) {
+	h := (*Hier)(r)
 	h.ClassOf(t).dirty = true
-	h.readjust()
-	h.refreshSurpluses()
-	return nil
+	h.fill()
 }
 
-// Pick implements sched.Scheduler: the least-surplus runnable thread, flat
-// across classes. The scan runs over the stale stored order with the same
-// drift bound as core's exact pick: fresh surpluses sit below stored ones by
-// at most φ_max·(v − vRef), so the scan stops once no later thread can beat
-// the incumbent.
-func (h *Hier) Pick(cpu int, now simtime.Time) *sched.Thread {
-	noDrift := h.v == h.vRef
-	var bound, slack float64
-	if !noDrift {
-		drift := h.v - h.vRef
-		if drift < 0 {
-			drift = -drift
-		}
-		bound = h.phiMax * drift
-		slack = 1e-12 * (bound + h.phiMax*(math.Abs(h.v)+math.Abs(h.vRef)) + 1)
-	}
-	var best *sched.Thread
-	var bestS float64
-	cut := math.Inf(1)
-	scanned := 0
-	h.bySurplus.EachUnder(func(t *sched.Thread) bool {
-		if best != nil {
-			if noDrift {
-				// Fresh == stored: only queue-order predecessors of the
-				// incumbent can matter.
-				if !core.SurplusQueueLess(t, best) {
-					return false
-				}
-			} else if t.Surplus > cut {
-				return false
-			}
-		}
-		scanned++
-		if t.Running() {
-			return true
-		}
-		fresh := t.Phi * (t.Start - h.v)
-		if better := best == nil || fresh < bestS ||
-			(fresh == bestS && (t.Weight > best.Weight ||
-				(t.Weight == best.Weight && t.ID < best.ID))); better {
-			best, bestS = t, fresh
-			cut = bestS + bound + slack + 1e-12*math.Abs(bestS)
-			if noDrift {
-				return false // descendants are strictly worse
-			}
-		}
-		return true
-	})
-	if scanned > h.scanLimit && !noDrift {
-		h.needRefresh = true
-	}
-	if best != nil {
-		h.decisions++
-		best.Decisions++
-	}
-	return best
-}
-
-// Less implements sched.Scheduler for wakeup preemption.
-func (h *Hier) Less(a, b *sched.Thread) bool {
-	return a.Phi*(a.Start-h.v) < b.Phi*(b.Start-h.v)
-}
-
-// PreemptRank implements sched.Preempter: the hierarchical surplus
-// φ_i·(S_i − v) projected forward by ran of uncharged service (charging ran
-// advances S_i by ran/φ_i, so the projected surplus grows by ran seconds).
-func (h *Hier) PreemptRank(t *sched.Thread, ran simtime.Duration) float64 {
-	return t.Phi*(t.Start-h.v) + ran.Seconds()
-}
-
-// InterimCharge implements sched.InterimCharger by delegating to Charge: the
-// hierarchical tag advance ran/φ is linear in ran, so mid-slice installments
-// compose exactly with the boundary charge for the remainder.
-func (h *Hier) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	h.Charge(t, ran, now)
-}
-
-// readjust recomputes runnable threads' φ as their hierarchical GMS rates:
-// nested water-filling, classes first, then threads within each class. A
-// class whose rate is unchanged and whose membership and member weights are
-// untouched since the previous pass keeps its thread rates — water-filling
-// is deterministic, so skipping the recomputation is exact, and an
-// arrival/departure in one class that leaves sibling rates unchanged costs
-// only that class's pass.
-func (h *Hier) readjust() {
+// fill recomputes runnable threads' φ as their hierarchical GMS rates:
+// nested water-filling, classes first, then threads within each class, and
+// reports whether any φ changed. A class whose rate is unchanged and whose
+// membership and member weights are untouched since the previous pass keeps
+// its thread rates — water-filling is deterministic, so skipping the
+// recomputation is exact, and an arrival/departure in one class that leaves
+// sibling rates unchanged costs only that class's pass.
+func (h *Hier) fill() bool {
+	p := float64(h.NumCPU())
 	h.active = h.active[:0]
 	h.weights = h.weights[:0]
 	h.caps = h.caps[:0]
@@ -416,78 +251,36 @@ func (h *Hier) readjust() {
 		}
 		h.active = append(h.active, c)
 		h.weights = append(h.weights, c.weight)
-		cap := float64(len(c.members))
-		if cap > float64(h.p) {
-			cap = float64(h.p)
-		}
-		h.caps = append(h.caps, cap)
+		h.caps = append(h.caps, min(float64(len(c.members)), p))
 	}
+	h.maxPhi = 0
 	if len(h.active) == 0 {
-		h.phiMax = 0
-		return
-	}
-	h.rates = h.classFiller.Fill(h.rates, h.weights, h.caps, float64(h.p))
-	h.phiMax = 0
-	for i, c := range h.active {
-		if !c.dirty && c.phi == h.rates[i] {
-			// Same class rate, same members, same member weights: the
-			// inner water-fill would reproduce the stored φ values.
-			if c.maxPhi > h.phiMax {
-				h.phiMax = c.maxPhi
-			}
-			continue
-		}
-		c.phi = h.rates[i]
-		c.tw = c.tw[:0]
-		c.tc = c.tc[:0]
-		for _, t := range c.members {
-			c.tw = append(c.tw, t.Weight)
-			c.tc = append(c.tc, 1) // a thread can hold at most one CPU
-		}
-		c.rates = h.threadFiller.Fill(c.rates, c.tw, c.tc, c.phi)
-		c.maxPhi = 0
-		for j, t := range c.members {
-			t.Phi = c.rates[j]
-			if t.Phi > c.maxPhi {
-				c.maxPhi = t.Phi
-			}
-		}
-		c.dirty = false
-		if c.maxPhi > h.phiMax {
-			h.phiMax = c.maxPhi
-		}
-	}
-}
-
-func (h *Hier) recomputeV() bool {
-	var nv float64
-	if head, ok := h.byStart.Min(); ok {
-		nv = head.Start
-	} else {
-		nv = h.lastFin
-	}
-	if nv == h.v {
 		return false
 	}
-	h.v = nv
-	return true
-}
-
-// storeSurplus stores t's surplus against the vRef epoch shared by the
-// surplus queue.
-func (h *Hier) storeSurplus(t *sched.Thread) {
-	t.Surplus = t.Phi * (t.Start - h.vRef)
-}
-
-// refreshSurpluses snaps vRef to v, recomputes every stored surplus and
-// re-sorts the surplus queue.
-func (h *Hier) refreshSurpluses() {
-	h.vRef = h.v
-	h.needRefresh = false
-	h.scanLimit = 32 + int(math.Sqrt(float64(h.byStart.Len())))
-	h.byStart.Each(func(t *sched.Thread) bool {
-		h.storeSurplus(t)
-		return true
-	})
-	h.bySurplus.Init()
+	h.rates = h.classFiller.Fill(h.rates, h.weights, h.caps, p)
+	changed := false
+	for i, c := range h.active {
+		if c.dirty || c.phi != h.rates[i] {
+			c.phi = h.rates[i]
+			c.tw = c.tw[:0]
+			c.tc = c.tc[:0]
+			for _, t := range c.members {
+				c.tw = append(c.tw, t.Weight)
+				c.tc = append(c.tc, 1) // a thread can hold at most one CPU
+			}
+			c.rates = h.threadFiller.Fill(c.rates, c.tw, c.tc, c.phi)
+			c.maxPhi = 0
+			for j, t := range c.members {
+				if t.Phi != c.rates[j] {
+					t.Phi = c.rates[j]
+					h.onPhi(t)
+					changed = true
+				}
+				c.maxPhi = max(c.maxPhi, t.Phi)
+			}
+			c.dirty = false
+		}
+		h.maxPhi = max(h.maxPhi, c.maxPhi)
+	}
+	return changed
 }

@@ -12,22 +12,14 @@
 package phi
 
 import (
-	"fmt"
-
 	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 )
 
 // Tracker owns the weight-sorted queue of runnable threads and their φ
 // values. Not safe for concurrent use.
-//
-// The capacity is a float64 rather than a processor count: Figure 2's
-// recursion is valid for fractional capacities unchanged, which is what
-// lets the hierarchical scheduler (internal/hier) readjust a class's
-// threads against the fractional number of CPUs the class is entitled to.
-// For a flat scheduler the capacity is simply float64(p).
 type Tracker struct {
-	cap      float64
+	cap      float64 // processor count, as a float for Figure 2's arithmetic
 	enabled  bool
 	byWeight *runqueue.List[*sched.Thread] // descending weight
 	sum      float64                       // Σ w_i over runnable threads
@@ -76,23 +68,6 @@ func (k *Tracker) setPhi(t *sched.Thread, phi float64, force bool) bool {
 // Enabled reports whether readjustment is active.
 func (k *Tracker) Enabled() bool { return k.enabled }
 
-// SetCapacity changes the CPU capacity the feasibility constraint is
-// evaluated against (may be fractional, must be positive) and readjusts.
-// It reports whether any φ changed.
-func (k *Tracker) SetCapacity(c float64) bool {
-	if c <= 0 {
-		panic(fmt.Sprintf("phi: non-positive capacity %g", c))
-	}
-	if c == k.cap {
-		return false
-	}
-	k.cap = c
-	return k.Readjust()
-}
-
-// Capacity returns the current CPU capacity.
-func (k *Tracker) Capacity() float64 { return k.cap }
-
 // Len returns the number of tracked (runnable) threads.
 func (k *Tracker) Len() int { return k.byWeight.Len() }
 
@@ -129,18 +104,6 @@ func (k *Tracker) Add(t *sched.Thread) bool {
 	k.sum += t.Weight
 	k.byWeight.Insert(t)
 	return k.Readjust()
-}
-
-// AddDeferred starts tracking t like Add but defers the readjustment pass:
-// batch admission (core's AddBatch) inserts every thread of a wakeup batch
-// first and then runs a single Readjust for the whole batch, since φ values
-// are a pure function of the final runnable set. φ starts at the requested
-// weight and the hook fires unconditionally so derived caches (FxPhi) are
-// primed, exactly as Add does.
-func (k *Tracker) AddDeferred(t *sched.Thread) {
-	k.setPhi(t, t.Weight, true)
-	k.sum += t.Weight
-	k.byWeight.Insert(t)
 }
 
 // Remove stops tracking t and readjusts. It reports whether any φ changed.

@@ -62,20 +62,6 @@ type Preempter interface {
 	PreemptRank(t *Thread, ran simtime.Duration) float64
 }
 
-// BatchAdder admits several newly woken threads in one call: equivalent to
-// calling Add for each element of ts in order at the same instant, but
-// allowing the policy to run whole-set bookkeeping (weight readjustment,
-// surplus refreshes) once per batch instead of once per thread, so N
-// wakeups admitted at one instant (engine.AdmitBatch) cost one readjustment
-// pass; policies without the capability are admitted with N ordinary Adds
-// and differ only in constant factors, never in the resulting runnable set.
-type BatchAdder interface {
-	// AddBatch makes every thread of ts runnable at now, as Add would one
-	// by one. ts must not contain duplicates or already-managed threads;
-	// on error the runnable set is unchanged.
-	AddBatch(ts []*Thread, now simtime.Time) error
-}
-
 // InterimCharger accounts in-flight service to a still-running thread in the
 // middle of its slice — the runtime analogue of internal/machine's
 // syncRunning. A runtime that charges only at slice boundaries (internal/rt's

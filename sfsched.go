@@ -103,7 +103,7 @@ const (
 
 // SFS options (see internal/core for semantics).
 var (
-	// WithQuantum sets the maximum quantum.
+	// WithQuantum sets the maximum quantum (q <= 0 keeps the 200 ms default).
 	WithQuantum = core.WithQuantum
 	// WithHeuristic bounds each scheduling decision to k candidates per
 	// run queue (§3.2).

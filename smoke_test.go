@@ -7,6 +7,7 @@
 package sfsched_test
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -182,5 +183,42 @@ func TestPaperbenchSmoke(t *testing.T) {
 	}
 	if len(entries) == 0 {
 		t.Fatal("-csv wrote no files")
+	}
+}
+
+// TestCLIBadFlagsExit2 runs the command-line tools with invalid flag values:
+// each must print a message naming the flag and exit 2, never panic.
+func TestCLIBadFlagsExit2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess smoke tests skipped in -short mode")
+	}
+	dir := t.TempDir()
+	for _, pkg := range []string{"sfsim", "livecmp"} {
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, pkg), "./cmd/"+pkg).CombinedOutput(); err != nil {
+			t.Fatalf("go build ./cmd/%s: %v\n%s", pkg, err, out)
+		}
+	}
+	cases := []struct {
+		bin  string
+		args []string
+		want string
+	}{
+		{"sfsim", []string{"-weights", "1,-2"}, "weight -2"},
+		{"sfsim", []string{"-cpus", "0"}, "-cpus"},
+		{"sfsim", []string{"-quantum", "0"}, "-quantum"},
+		{"sfsim", []string{"-quantum", "-5ms"}, "-quantum"},
+		{"livecmp", []string{"-shards", "8", "-workers", "2"}, "-shards 8"},
+	}
+	for _, c := range cases {
+		t.Run(c.bin+strings.Join(c.args, ""), func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(dir, c.bin), c.args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%s %v: err = %v, want exit status 2\n%s", c.bin, c.args, err, out)
+			}
+			if strings.Contains(string(out), "panic") || !strings.Contains(string(out), c.want) {
+				t.Fatalf("%s %v: output does not name %q:\n%s", c.bin, c.args, c.want, out)
+			}
+		})
 	}
 }
