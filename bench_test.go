@@ -5,7 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // The figure benchmarks run a scaled-down simulation per iteration (the full
-// paper-scale runs live in cmd/paperbench); the overhead benchmarks
+// paper-scale runs are `sfs paper`); the overhead benchmarks
 // (Table 1, Figure 7) measure the real scheduler hot path per operation.
 package sfsched_test
 

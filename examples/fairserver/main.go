@@ -12,7 +12,7 @@
 // timeshare, stride, bvt, lottery, hier): the same live load under the
 // paper's scheduler or any of its baselines, so the Figure 6(b) contrast —
 // proportional shares under SFS/SFQ, weight-blind equal shares under
-// timeshare — reproduces on wall-clock hardware (cmd/livecmp tabulates it).
+// timeshare — reproduces on wall-clock hardware (`sfs live` tabulates it).
 // The worker pool defaults to GOMAXPROCS (all schedulable cores) and the
 // shard count to one shard per ~4 tenants, capped at the worker count. Each
 // tenant keeps itself backlogged by resubmitting from inside its own tasks,

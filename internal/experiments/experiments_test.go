@@ -121,7 +121,7 @@ func TestFig5ShortJobs(t *testing.T) {
 		t.Fatalf("SFS short share %.3f too large", ss[2])
 	}
 	// With fine quanta the granularity floor disappears and SFS converges
-	// to the exact 4:4:1 (documented in EXPERIMENTS.md).
+	// to the exact 4:4:1 (documented in DESIGN.md §4).
 	fine := Fig5Defaults(SFS)
 	fine.Quantum = 20 * simtime.Millisecond
 	fs := Fig5(fine).Shares()
@@ -136,11 +136,10 @@ func TestFig5ShortJobs(t *testing.T) {
 // requested 1:1, 1:2, 1:4, 1:7.
 func TestFig6aProportional(t *testing.T) {
 	r := Fig6a(Fig6aDefaults(SFS))
-	for _, row := range r.Rows {
-		want := row.Requested[1] / row.Requested[0]
-		if math.Abs(row.Measured-want) > 0.15*want {
-			t.Fatalf("ratio %g:%g measured %.3f, want ~%.2f",
-				row.Requested[0], row.Requested[1], row.Measured, want)
+	measured := r.Col("measured B/A")
+	for i, want := range r.Col("requested B/A") {
+		if math.Abs(measured[i]-want) > 0.15*want {
+			t.Fatalf("ratio %s measured %.3f, want ~%.2f", r.Labels[i], measured[i], want)
 		}
 	}
 }
@@ -150,8 +149,8 @@ func TestFig6aProportional(t *testing.T) {
 func TestFig6bIsolation(t *testing.T) {
 	p := Fig6bDefaults()
 	r := Fig6b(p)
-	sfs := r.FPS[SFS]
-	ts := r.FPS[Timeshare]
+	sfs := r.Col("sfs fps")
+	ts := r.Col("timeshare fps")
 	// SFS: flat within 10% of the unloaded rate.
 	for i, f := range sfs {
 		if f < 0.9*sfs[0] {
@@ -175,15 +174,16 @@ func TestFig6bIsolation(t *testing.T) {
 // TestFig6cInteractive asserts both schedulers keep interactive response
 // comparable and small as background load grows.
 func TestFig6cInteractive(t *testing.T) {
-	r := Fig6c(Fig6cDefaults())
-	for _, kind := range r.Params.Kinds {
-		for i, mean := range r.MeanMS[kind] {
+	p := Fig6cDefaults()
+	r := Fig6c(p)
+	for _, kind := range p.Kinds {
+		for i, mean := range r.Col(string(kind) + " mean") {
 			if mean <= 0 {
 				t.Fatalf("%s: no responses recorded at load %d", kind, i)
 			}
 			if mean > 25 {
 				t.Fatalf("%s: mean response %.2fms at %d disksims; interactivity lost",
-					kind, mean, r.Params.Disksims[i])
+					kind, mean, p.Disksims[i])
 			}
 		}
 	}
@@ -215,12 +215,13 @@ func TestFig3HeuristicAccuracy(t *testing.T) {
 // per process count by BenchmarkFig7SwitchCost.
 func TestTable1AndFig7(t *testing.T) {
 	res := Table1(3000)
-	for _, row := range res.Rows {
-		if row.Note != "" {
+	ts, sfs := res.Col("Time sharing"), res.Col("SFS")
+	for i, note := range res.Notes {
+		if note != "" {
 			continue
 		}
-		if row.TS <= 0 || row.SFS <= 0 {
-			t.Fatalf("non-positive cost in row %q: %+v", row.Test, row)
+		if ts[i] <= 0 || sfs[i] <= 0 {
+			t.Fatalf("non-positive cost in row %q: %v, %v", res.Labels[i], ts[i], sfs[i])
 		}
 	}
 	// Time sharing's schedule() scan is O(n): every pick examines every
@@ -233,15 +234,20 @@ func TestTable1AndFig7(t *testing.T) {
 			t.Fatalf("timeshare examined %.2f threads per pick at n=%d, want %d", perPick, n, n)
 		}
 	}
-	f := Fig7(Fig7Params{Procs: []int{2, 50}, Iters: iters})
+	f := Fig7(Fig7Params{Procs: []int{2, 50}, Iters: iters}).Col("SFS")
 	// SFS's amortized cost is nearly flat (sorted-queue head access with
 	// periodic re-sorts), so only assert it does not collapse or blow up -
 	// wall-clock growth assertions on it are noise-bound.
-	if f.SFS[0] <= 0 || f.SFS[1] <= 0 {
-		t.Fatalf("non-positive SFS switch cost: %v, %v", f.SFS[0], f.SFS[1])
+	if f[0] <= 0 || f[1] <= 0 {
+		t.Fatalf("non-positive SFS switch cost: %vns, %vns", f[0], f[1])
 	}
-	if f.SFS[1] > 100*f.SFS[0] {
-		t.Fatalf("SFS switch cost exploded: %v -> %v", f.SFS[0], f.SFS[1])
+	if f[1] > 100*f[0] {
+		t.Fatalf("SFS switch cost exploded: %vns -> %vns", f[0], f[1])
+	}
+	// Iters <= 0 takes the default, as Table1 does, rather than dividing by
+	// zero.
+	if got := Fig7(Fig7Params{Procs: []int{2}}).Col("SFS"); got[0] <= 0 {
+		t.Fatalf("default-iteration switch cost %vns", got[0])
 	}
 }
 
@@ -250,7 +256,7 @@ func TestTable1AndFig7(t *testing.T) {
 // a few quanta of the idealized allocation.
 func TestGMSLagBound(t *testing.T) {
 	p := Fig4Defaults(SFS)
-	m := NewMachine(p.Kind, p.CPUs, p.Quantum, p.Seed)
+	m := p.machine(p.Kind)
 	fluid := AttachGMS(m, p.CPUs)
 	t1 := m.Spawn(machine.SpawnConfig{Name: "T1", Weight: 1, Behavior: workload.Inf()})
 	t2 := m.Spawn(machine.SpawnConfig{Name: "T2", Weight: 10, Behavior: workload.Inf()})
@@ -333,7 +339,7 @@ func TestStrideAndBVTShareTheDefect(t *testing.T) {
 // internal/lottery's tests); here the ratio lands visibly short of 3 but
 // still well above parity.
 func TestLotteryMultiprocessorBias(t *testing.T) {
-	m := NewMachine(Lottery, 2, 20*simtime.Millisecond, 9)
+	m := Setup{CPUs: 2, Quantum: 20 * simtime.Millisecond, Seed: 9}.machine(Lottery)
 	a := m.Spawn(machine.SpawnConfig{Name: "a", Weight: 3, Behavior: workload.Inf()})
 	b := m.Spawn(machine.SpawnConfig{Name: "b", Weight: 1, Behavior: workload.Inf()})
 	for i := 0; i < 4; i++ {

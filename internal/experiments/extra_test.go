@@ -15,9 +15,9 @@ func TestPartitionAlternative(t *testing.T) {
 	r := Partition(p)
 	lag := make(map[Kind]float64)
 	jain := make(map[Kind]float64)
-	for _, row := range r.Rows {
-		lag[row.Kind] = row.MaxLag
-		jain[row.Kind] = row.Jain
+	for i, kind := range p.Kinds {
+		lag[kind] = r.Col("max |lag| vs GMS")[i]
+		jain[kind] = r.Col("Jain index")[i]
 	}
 	quanta := p.Quantum.Seconds()
 	if lag[SFS] > 5*quanta {
@@ -56,9 +56,9 @@ func TestPartitionRenderNonEmpty(t *testing.T) {
 // quanta from 2 through 16 CPUs.
 func TestScaleP(t *testing.T) {
 	r := ScaleP(ScalePDefaults(SFS))
-	for i, lag := range r.LagQuanta {
+	for i, lag := range r.Col("max lag (quanta)") {
 		if lag > 6 {
-			t.Fatalf("p=%d: lag %.2f quanta exceeds bound", r.Params.CPUs[i], lag)
+			t.Fatalf("p=%s: lag %.2f quanta exceeds bound", r.Labels[i], lag)
 		}
 	}
 	if out := r.Render(); len(out) == 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sfsched/internal/core"
+	"sfsched/internal/rt"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 	"sfsched/internal/timeshare"
@@ -23,7 +24,7 @@ func TestRunLiveLatencySmoke(t *testing.T) {
 	policy := func(cpus int) sched.Scheduler {
 		return core.New(cpus, core.WithQuantum(10*simtime.Millisecond))
 	}
-	res := RunLiveLatency(policy, LiveLatencyConfig{
+	res := RunLiveLatency(policy, LiveConfig{
 		Workers:  2,
 		Hogs:     3,
 		Duration: 300 * time.Millisecond,
@@ -37,27 +38,27 @@ func TestRunLiveLatencySmoke(t *testing.T) {
 	if !res.Preempt || res.Hogs != 3 {
 		t.Errorf("config echo wrong: %+v", res)
 	}
-	if res.Wakes == 0 {
+	if res.Wake.Count == 0 {
 		t.Error("interactive tenant recorded no wakes")
 	}
 	if res.Preemptions == 0 {
 		t.Error("no preemption flags raised despite full load and Preempter policy")
 	}
-	if res.P95 < res.P50 || res.Max < res.P95 {
-		t.Errorf("quantiles not ordered: p50 %v, p95 %v, max %v", res.P50, res.P95, res.Max)
+	if w := res.Wake; w.P95 < w.P50 || w.Max < w.P95 {
+		t.Errorf("quantiles not ordered: p50 %v, p95 %v, max %v", w.P50, w.P95, w.Max)
 	}
 }
 
 // TestLatencyTable pins the renderer on synthetic results.
 func TestLatencyTable(t *testing.T) {
 	out := LatencyTable([]LiveLatencyResult{
-		{Policy: "SFS", Preempt: true, Enforce: true, Hogs: 8, Wakes: 100,
-			P50: time.Millisecond, P95: 2 * time.Millisecond,
-			P99: 3 * time.Millisecond, Max: 4 * time.Millisecond,
+		{Policy: "SFS", Preempt: true, Enforce: true, Hogs: 8,
+			Wake: rt.LatencyStat{Count: 100, P50: simtime.Millisecond, P95: 2 * simtime.Millisecond,
+				P99: 3 * simtime.Millisecond, Max: 4 * simtime.Millisecond},
 			Preemptions: 42, Handoffs: 7},
-		{Policy: "timeshare", Preempt: false, Hogs: 8, Wakes: 20,
-			P50: 90 * time.Millisecond, P95: 180 * time.Millisecond,
-			P99: 190 * time.Millisecond, Max: 200 * time.Millisecond},
+		{Policy: "timeshare", Preempt: false, Hogs: 8,
+			Wake: rt.LatencyStat{Count: 20, P50: 90 * simtime.Millisecond, P95: 180 * simtime.Millisecond,
+				P99: 190 * simtime.Millisecond, Max: 200 * simtime.Millisecond}},
 	})
 	for _, want := range []string{"SFS", "timeshare", "on", "off", "2.00", "180.00", "42", "p95_ms", "enforce", "handoffs", "7"} {
 		if !strings.Contains(out, want) {
@@ -78,7 +79,7 @@ func TestRunLiveLatencyTimeshareSubTick(t *testing.T) {
 		t.Skip("wall-clock spin workload skipped in -short mode")
 	}
 	policy := func(cpus int) sched.Scheduler { return timeshare.New(cpus) }
-	res := RunLiveLatency(policy, LiveLatencyConfig{
+	res := RunLiveLatency(policy, LiveConfig{
 		Workers:  2,
 		Hogs:     3,
 		Duration: 300 * time.Millisecond,
@@ -89,10 +90,10 @@ func TestRunLiveLatencyTimeshareSubTick(t *testing.T) {
 	if res.Policy != "timeshare" {
 		t.Errorf("policy %q, want timeshare", res.Policy)
 	}
-	if res.Wakes == 0 {
+	if res.Wake.Count == 0 {
 		t.Error("interactive tenant starved: no wakes recorded")
 	}
-	if res.P95 < res.P50 || res.Max < res.P95 {
-		t.Errorf("quantiles not ordered: p50 %v, p95 %v, max %v", res.P50, res.P95, res.Max)
+	if w := res.Wake; w.P95 < w.P50 || w.Max < w.P95 {
+		t.Errorf("quantiles not ordered: p50 %v, p95 %v, max %v", w.P50, w.P95, w.Max)
 	}
 }

@@ -2,47 +2,30 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
-	"sfsched/internal/metrics"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
 
-// This file regenerates the scheduling-overhead results: Table 1 (lmbench)
-// and Figure 7 (context-switch cost vs. number of processes).
-//
-// Substitution note (see DESIGN.md §2): lmbench measures kernel context
-// switches on a 500 MHz Pentium III; we measure the same quantity our
-// schedulers control — the per-switch bookkeeping of charge + pick — as Go
-// wall-clock nanoseconds, with an optional working-set touch reproducing
-// lmbench's cache-footprint parameter. Rows of Table 1 that do not involve
-// the scheduler (syscall, exec) are identical under both schedulers in the
-// paper and are identical here by construction.
+// The scheduling-overhead results: Table 1 (lmbench) and Figure 7
+// (context-switch cost vs. number of processes). Where lmbench measures
+// kernel context switches, these measure what the schedulers control, the
+// per-switch bookkeeping of charge + pick, in Go wall-clock nanoseconds,
+// with an optional working-set touch for lmbench's cache footprint
+// (DESIGN.md §2).
 
 // SwitchCost measures the mean cost of one scheduler round trip — charge the
 // outgoing thread, pick the next, touch its working set — with nproc
 // runnable threads of wsKB KiB each, mimicking lmbench's
 // "lat_ctx -s <size> <nproc>".
 func SwitchCost(s sched.Scheduler, nproc, wsKB, iters int) time.Duration {
-	if nproc < 2 {
-		nproc = 2
-	}
+	nproc = max(nproc, 2)
 	now := simtime.Time(0)
-	threads := make([]*sched.Thread, nproc)
 	sets := make([][]byte, nproc)
-	for i := range threads {
-		threads[i] = &sched.Thread{
-			ID:      i + 1,
-			Weight:  1,
-			Phi:     1,
-			CPU:     sched.NoCPU,
-			LastCPU: sched.NoCPU,
-			State:   sched.Runnable,
-		}
-		if err := s.Add(threads[i], now); err != nil {
-			panic(err)
-		}
+	for i := range sets {
+		mustOK(s.Add(runnable(i+1), now))
 		sets[i] = make([]byte, wsKB*1024)
 	}
 	cur := s.Pick(0, now)
@@ -68,56 +51,35 @@ func SwitchCost(s sched.Scheduler, nproc, wsKB, iters int) time.Duration {
 		}
 		cur = next
 	}
-	elapsed := time.Since(start)
-	return elapsed / time.Duration(iters)
-}
-
-// Table1Row is one lmbench test row.
-type Table1Row struct {
-	Test string
-	TS   time.Duration
-	SFS  time.Duration
-	Note string
-}
-
-// Table1Result carries the lmbench-style overhead table.
-type Table1Result struct {
-	Iters int
-	Rows  []Table1Row
+	return time.Since(start) / time.Duration(iters)
 }
 
 // Table1 regenerates the paper's Table 1 with iters hops per measurement
-// (20000 is comfortable; tests use fewer).
-func Table1(iters int) Table1Result {
-	if iters <= 0 {
-		iters = 20000
+// (iters <= 0 means DefaultIters): one row per lmbench test with its cost
+// in ns/op under time sharing and SFS. The rows that do not involve the
+// scheduler read "=", as they are equal under both in the paper.
+func Table1(iters int) Grid {
+	iters = orDefault(iters, DefaultIters)
+	const indep = "scheduler-independent (equal by construction)"
+	g := Grid{Title: fmt.Sprintf("Table 1: scheduling overheads (ns/op, %d iters)", iters), Headers: []string{"Test"},
+		Labels: []string{"syscall overhead", "exec()", "fork() (sched add+remove)"}, Notes: []string{indep, indep, ""}}
+	contexts := []struct{ nproc, wsKB int }{{2, 0}, {8, 16}, {16, 64}}
+	for _, c := range contexts {
+		g.Labels = append(g.Labels, fmt.Sprintf("Context switch (%d proc/ %dKB)", c.nproc, c.wsKB))
+		g.Notes = append(g.Notes, "")
 	}
-	res := Table1Result{Iters: iters}
-	mkTS := func() sched.Scheduler { return MustScheduler(Timeshare, 1, core200ms) }
-	mkSFS := func() sched.Scheduler { return MustScheduler(SFS, 1, core200ms) }
-
-	// Scheduler-independent rows: in the paper these are equal under both
-	// schedulers; here the scheduler plays no part at all.
-	res.Rows = append(res.Rows,
-		Table1Row{Test: "syscall overhead", Note: "scheduler-independent (equal by construction)"},
-		Table1Row{Test: "exec()", Note: "scheduler-independent (equal by construction)"},
-	)
-	// fork(): thread creation visible to the scheduler = add + remove.
-	res.Rows = append(res.Rows, Table1Row{
-		Test: "fork() (sched add+remove)",
-		TS:   forkCost(mkTS(), iters),
-		SFS:  forkCost(mkSFS(), iters),
-	})
-	for _, c := range []struct {
-		nproc, wsKB int
-	}{{2, 0}, {8, 16}, {16, 64}} {
-		res.Rows = append(res.Rows, Table1Row{
-			Test: fmt.Sprintf("Context switch (%d proc/ %dKB)", c.nproc, c.wsKB),
-			TS:   SwitchCost(mkTS(), c.nproc, c.wsKB, iters),
-			SFS:  SwitchCost(mkSFS(), c.nproc, c.wsKB, iters),
-		})
+	cost := func(kind Kind) []float64 {
+		mk := func() sched.Scheduler { return MustScheduler(kind, 1, core200ms) }
+		// fork(): thread creation visible to the scheduler = add + remove.
+		ns := []float64{math.NaN(), math.NaN(), float64(forkCost(mk(), iters))}
+		for _, c := range contexts {
+			ns = append(ns, float64(SwitchCost(mk(), c.nproc, c.wsKB, iters)))
+		}
+		return ns
 	}
-	return res
+	g.add("Time sharing", "%.0fns", cost(Timeshare))
+	g.add("SFS", "%.0fns", cost(SFS))
+	return g
 }
 
 const core200ms = 200 * simtime.Millisecond
@@ -127,40 +89,21 @@ const core200ms = 200 * simtime.Millisecond
 func forkCost(s sched.Scheduler, iters int) time.Duration {
 	now := simtime.Time(0)
 	for i := 0; i < 8; i++ {
-		t := &sched.Thread{ID: i + 1, Weight: 1, Phi: 1, CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
-		if err := s.Add(t, now); err != nil {
-			panic(err)
-		}
+		mustOK(s.Add(runnable(i+1), now))
 	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		t := &sched.Thread{ID: 1000 + i, Weight: 1, Phi: 1, CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
-		if err := s.Add(t, now); err != nil {
-			panic(err)
-		}
+		t := runnable(1000 + i)
+		mustOK(s.Add(t, now))
 		t.State = sched.Exited
-		if err := s.Remove(t, now); err != nil {
-			panic(err)
-		}
+		mustOK(s.Remove(t, now))
 	}
 	return time.Since(start) / time.Duration(iters)
 }
 
-// Render formats the result like the paper's Table 1.
-func (r Table1Result) Render() string {
-	t := metrics.Table{
-		Title:   fmt.Sprintf("Table 1: scheduling overheads (ns/op, %d iters)", r.Iters),
-		Headers: []string{"Test", "Time sharing", "SFS", "note"},
-	}
-	for _, row := range r.Rows {
-		ts, sfs := "=", "="
-		if row.TS != 0 || row.SFS != 0 {
-			ts = fmt.Sprintf("%dns", row.TS.Nanoseconds())
-			sfs = fmt.Sprintf("%dns", row.SFS.Nanoseconds())
-		}
-		t.AddRow(row.Test, ts, sfs, row.Note)
-	}
-	return t.String()
+// runnable returns a fresh weight-1 runnable thread.
+func runnable(id int) *sched.Thread {
+	return &sched.Thread{ID: id, Weight: 1, Phi: 1, CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
 }
 
 // Fig7Params configures the switch-cost growth experiment (Figure 7):
@@ -174,37 +117,24 @@ type Fig7Params struct {
 func Fig7Defaults() Fig7Params {
 	return Fig7Params{
 		Procs: []int{2, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50},
-		Iters: 20000,
+		Iters: DefaultIters,
 	}
 }
 
-// Fig7Result holds per-process-count switch costs for both schedulers.
-type Fig7Result struct {
-	Params Fig7Params
-	TS     []time.Duration
-	SFS    []time.Duration
-}
-
-// Fig7 runs the switch-cost sweep.
-func Fig7(p Fig7Params) Fig7Result {
-	res := Fig7Result{Params: p}
-	for _, n := range p.Procs {
-		res.TS = append(res.TS, SwitchCost(MustScheduler(Timeshare, 1, core200ms), n, 0, p.Iters))
-		res.SFS = append(res.SFS, SwitchCost(MustScheduler(SFS, 1, core200ms), n, 0, p.Iters))
+// Fig7 runs the switch-cost sweep: ns per switch for each process count,
+// under time sharing and SFS. Iters <= 0 means DefaultIters, as for Table1.
+func Fig7(p Fig7Params) Grid {
+	p.Iters = orDefault(p.Iters, DefaultIters)
+	g := Grid{Title: "Figure 7: context switch cost vs. number of 0KB processes (ns/switch)",
+		Headers: []string{"processes"}, Labels: labels(p.Procs)}
+	cost := func(kind Kind) []float64 {
+		var ns []float64
+		for _, n := range p.Procs {
+			ns = append(ns, float64(SwitchCost(MustScheduler(kind, 1, core200ms), n, 0, p.Iters).Nanoseconds()))
+		}
+		return ns
 	}
-	return res
-}
-
-// Render formats the result as the Figure 7 series.
-func (r Fig7Result) Render() string {
-	t := metrics.Table{
-		Title:   "Figure 7: context switch cost vs. number of 0KB processes (ns/switch)",
-		Headers: []string{"processes", "timeshare", "SFS"},
-	}
-	for i, n := range r.Params.Procs {
-		t.AddRow(fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", r.TS[i].Nanoseconds()),
-			fmt.Sprintf("%d", r.SFS[i].Nanoseconds()))
-	}
-	return t.String()
+	g.add("timeshare", "%.0f", cost(Timeshare))
+	g.add("SFS", "%.0f", cost(SFS))
+	return g
 }
